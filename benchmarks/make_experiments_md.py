@@ -375,12 +375,14 @@ def main() -> None:
             "Table 6 — quantization time",
             "MXFP4+ 1.00-1.05x of MXFP4; MXFP4++ 1.04-1.15x.",
             rows,
-            "Shape reproduced on our numpy encoders: MXFP4+ stays within "
+            "Shape reproduced on our numpy kernels: MXFP4+ stays within "
             "~1.5x of MXFP4 (near parity at longer inputs; short-input "
             "ratios carry the most wall-clock jitter and can land on either "
-            "side of 1.0 on shared CPUs); MXFP4++ pays more (~2x) because "
-            "this implementation re-quantizes NBMs in a second full pass "
-            "where the paper's fused CUDA kernel does not.",
+            "side of 1.0 on shared CPUs); MXFP4++ is single pass like the "
+            "paper's fused CUDA kernel (one extra masked max, NBMs rounded "
+            "once against the final scale) but pays more than its "
+            "1.04-1.15x, because numpy spends a whole-tensor pass on that "
+            "reduction.",
         )
 
     t7 = load("tab07_schemes")

@@ -25,30 +25,12 @@ def _outlier_tensor(scale: float, seed: int = 0) -> np.ndarray:
 class MXPPNoOffset(MXPPFormat):
     """MX++ without the +1 offset in the NBM shared-exponent rule."""
 
-    def encode(self, x, axis=-1):
-        enc = super().encode(x, axis)
-        # Recompute NBM scale without the offset: e = max2 - emax.
-        data = enc.blocked.data
-        absd = np.abs(data)
-        k = data.shape[-1]
-        is_bm = np.arange(k, dtype=np.int32) == enc.bm_index[..., None]
-        nbm_amax = np.max(np.where(is_bm, 0.0, absd), axis=-1)
-        e2 = floor_log2(nbm_amax)
-        flush = enc.shared_exp == ZERO_BLOCK_SENTINEL
-        shared = np.where(flush, 0, enc.shared_exp)
-        new_exp = np.clip(e2 - self.elem.emax, shared - 7, shared)
-        new_exp = np.where(nbm_amax == 0, shared, new_exp)
-        nbm_scale = np.exp2(new_exp.astype(np.float64))[..., None]
-        requant = self.elem.quantize(data / nbm_scale)
-        bm_vals = np.take_along_axis(
-            enc.elem_values, enc.bm_index[..., None].astype(np.int64), axis=-1
-        )
-        elem_values = np.where(is_bm, 0.0, requant)
-        np.put_along_axis(elem_values, enc.bm_index[..., None].astype(np.int64), bm_vals, axis=-1)
-        enc.elem_values = np.where(flush[..., None], 0.0, elem_values)
-        enc.reserved = np.where(flush, 0, (shared - new_exp)).astype(np.int32)
-        enc.nbm_shared_exp = np.where(flush, ZERO_BLOCK_SENTINEL, new_exp).astype(np.int32)
-        return enc
+    def _nbm_shared_exp(self, mag, bm, shared):
+        # MX++'s rule with e = max2 - emax (the BM slot masked as MX++ does).
+        mag.reshape(-1)[bm] = 0.0
+        nbm_amax = np.max(mag, axis=-1)
+        new_exp = np.clip(floor_log2(nbm_amax) - self.elem.emax, shared - 7, shared)
+        return np.where(nbm_amax == 0, shared, new_exp).astype(np.int32)
 
 
 def test_ablation_mxpp_offset(benchmark):

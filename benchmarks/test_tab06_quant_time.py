@@ -25,9 +25,10 @@ def test_tab06(benchmark):
         # one-extra-vector-op numpy kernel, same ballpark.
         assert row["mxfp4+"] < 1.7  # loose: wall-clock jitter on shared CPUs
         # MXFP4++ pays for the second-max pass. The paper's fused CUDA
-        # kernel lands at 1.04-1.15x; our numpy encoder re-quantizes the
-        # NBMs in a second full pass, so the ratio is larger (~2x) but the
-        # ordering and trend (amortizing with length) are the same.
-        assert row["mxfp4+"] <= row["mxfp4++"] < 3.5
+        # kernel lands at 1.04-1.15x; ours is single pass too (one extra
+        # masked reduction, NBMs rounded once against the final scale),
+        # but numpy spends a whole-tensor pass on that reduction and a few
+        # per-block ops, so the ratio sits above the paper's.
+        assert row["mxfp4+"] <= row["mxfp4++"] < 2.0
 
     save_result("tab06_quant_time", table)

@@ -13,7 +13,9 @@ Every block-based format in this library follows the same contract:
     by the hardware model.
 
 Blocking happens along one axis: the axis is moved last, padded with zeros
-to a multiple of the block size, and reshaped to ``(..., nblocks, k)``.
+to a multiple of the block size, and reshaped to ``(..., nblocks, k)``
+in one C-contiguous float64 copy (none when the axis is already last and
+the data already float64 and contiguous).
 Padding never changes a block's max-magnitude statistics because zeros are
 never larger than any real magnitude.
 """
@@ -39,22 +41,29 @@ class Blocked:
 
 
 def to_blocks(x: np.ndarray, block_size: int, axis: int = -1) -> Blocked:
-    """Reshape ``x`` into zero-padded blocks of ``block_size`` along ``axis``."""
+    """Reshape ``x`` into zero-padded blocks of ``block_size`` along ``axis``.
+
+    Makes at most one copy (C-contiguous float64, padded); the returned
+    ``data`` may share memory with ``x``, so callers must not write to it.
+    """
     x = np.asarray(x)
-    orig_dtype = x.dtype
-    work = np.moveaxis(x, axis, -1).astype(np.float64)
-    n = work.shape[-1]
+    moved = np.moveaxis(x, axis, -1)
+    n = moved.shape[-1]
     pad = (-n) % block_size
     if pad:
-        pad_width = [(0, 0)] * (work.ndim - 1) + [(0, pad)]
-        work = np.pad(work, pad_width)
+        work = np.zeros(moved.shape[:-1] + (n + pad,))
+        work[..., :n] = moved
+    else:
+        # No copy when the blocked axis is already last and ``x`` is
+        # C-contiguous float64: ``data`` is then a view of ``x``.
+        work = np.ascontiguousarray(moved, dtype=np.float64)
     new_shape = work.shape[:-1] + (work.shape[-1] // block_size, block_size)
     return Blocked(
         data=work.reshape(new_shape),
         axis=axis,
         orig_len=n,
         orig_shape=x.shape,
-        orig_dtype=orig_dtype,
+        orig_dtype=x.dtype,
     )
 
 

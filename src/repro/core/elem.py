@@ -53,10 +53,60 @@ def floor_log2(x: np.ndarray) -> np.ndarray:
     treat them as "no magnitude".
     """
     x = np.asarray(x, dtype=np.float64)
-    _, e = np.frexp(np.abs(x))
-    out = (e - 1).astype(np.int32)
-    out = np.where(x == 0, np.int32(np.iinfo(np.int32).min // 2), out)
-    return out
+    _, e = np.frexp(x)  # int32; the exponent of -x is that of x
+    return np.where(x == 0, np.int32(np.iinfo(np.int32).min // 2), e - np.int32(1))
+
+
+_EXP_BITS = np.int64(0x7FF << 52)  # IEEE-754 binary64 exponent field
+
+
+def _round_to_grid(
+    x: np.ndarray,
+    mag: np.ndarray,
+    shared_exp,
+    emin: int,
+    mbits: int,
+    max_normal: float,
+    keep_negative_zero: bool = False,
+) -> np.ndarray:
+    """``quantize(x * 2**-shared_exp) * 2**shared_exp`` without scaling ``x``.
+
+    The codec kernel, in place in ``mag`` (a scratch ``|x|``). The grid
+    has ``mbits`` mantissa bits per binade, binades from ``2**emin`` up
+    (below it, the spacing of the ``emin`` binade: subnormals) and
+    saturates at ``max_normal``; ``shared_exp`` (int, broadcasting
+    against ``x``: one per block) shifts all of it. A power-of-two scale
+    only moves the exponent, so per element:
+
+    1. saturate: ``|x| <- min(|x|, max_normal * 2**s)``; the bound is on
+       the grid, so this equals rounding first and clamping after, and it
+       caps the exponent at ``emax + s``, keeping ``M`` finite;
+    2. ``e = max(floor(log2 |x|), emin + s)`` from the IEEE exponent bits
+       (a float64 subnormal has field 0, below every floor);
+    3. ``M = 2**(e - mbits + 52)``, assembled as bits, and
+       ``q = (|x| + M) - M``: the add rounds to nearest-even at the grid
+       step ``2**(e - mbits)``, the subtract is exact;
+    4. the sign of ``np.sign(x * 2**-s) * q``: ``-0.0`` in gives ``+0.0``,
+       a negative that rounds to zero gives ``-0.0`` unless its scaled
+       value already underflowed to zero (``|x| <= 2**(s - 1075)``, float64
+       only). With ``keep_negative_zero`` the sign is simply ``x``'s.
+    """
+    se = np.asarray(shared_exp, dtype=np.int64)
+    np.minimum(mag, max_normal * ((se + 1023) << 52).view(np.float64), out=mag)
+    magic = mag.view(np.int64) & _EXP_BITS
+    np.maximum(magic, (se + (emin + 1023)) << 52, out=magic)
+    magic += np.int64(52 - mbits) << 52
+    magic = magic.view(np.float64)
+    mag += magic
+    mag -= magic
+    if keep_negative_zero:
+        return np.copysign(mag, x, out=mag)
+    # x + 2**(s - 1075) has the sign of np.sign(x * 2**-s). The addend is
+    # built as bits: 0 for s <= 0, a subnormal up to s = 52, normal above.
+    s = np.maximum(se, 0)
+    flushed = np.where(s > 52, (s - 52) << 52, (np.int64(1) << np.minimum(s, 52)) >> 1)
+    sign = np.add(x, flushed.view(np.float64), out=magic)  # reuses the buffer
+    return np.copysign(mag, sign, out=mag)
 
 
 @dataclass(frozen=True)
@@ -130,19 +180,20 @@ class FloatCodec:
         above ``max_normal`` saturate; magnitudes that round to zero flush
         to (signed) zero.
         """
-        x = np.asarray(x, dtype=np.float64)
-        mag = np.abs(x)
-        sign = np.sign(x)
+        return self.round_scaled(np.asarray(x, dtype=np.float64))
 
-        exp = floor_log2(mag)
-        exp = np.maximum(exp, self.emin)  # subnormal range shares emin's ulp
-        ulp = np.exp2(exp.astype(np.float64) - self.mbits)
-        q = round_half_even(mag / ulp) * ulp
-        # Rounding up may carry into the next binade (e.g. 1.9999 -> 2.0);
-        # the result is still exactly representable so no fixup is needed,
-        # except at the very top where we saturate.
-        q = np.minimum(q, self.max_normal)
-        return (sign * q).astype(x.dtype if x.dtype.kind == "f" else np.float64)
+    def round_scaled(self, x: np.ndarray, shared_exp=0, mag: np.ndarray | None = None) -> np.ndarray:
+        """``quantize(x / 2**shared_exp) * 2**shared_exp``, bit for bit, unscaled.
+
+        ``x`` is float64; ``shared_exp`` (int, within ``[-134, 127]``: the
+        E8M0 range and the MX++ NBM scales 7 below it) broadcasts against
+        it, one exponent per block. ``mag``, if given, is ``|x|`` in a
+        scratch array that becomes the result. See :func:`_round_to_grid`.
+        """
+        return _round_to_grid(
+            x, np.abs(x) if mag is None else mag,
+            shared_exp, self.emin, self.mbits, self.max_normal,
+        )
 
     def representable_values(self) -> np.ndarray:
         """All non-negative representable magnitudes, ascending (for tests)."""
@@ -238,10 +289,21 @@ class IntCodec:
         return self.max_q / float(1 << self.frac_bits)
 
     def quantize(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        scale = float(1 << self.frac_bits)
-        q = np.clip(round_half_even(x * scale), -self.max_q, self.max_q)
-        return q / scale
+        return self.round_scaled(np.asarray(x, dtype=np.float64))
+
+    def round_scaled(self, x: np.ndarray, shared_exp=0, mag: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`FloatCodec.round_scaled` for the fixed-point grid.
+
+        The grid is one binade wide (every magnitude up to ``max_normal``
+        sits at or below the binade of ``max_q * 2**-frac_bits``), and
+        ``-0.0`` keeps its sign, as ``round(-0.0 * 2**frac_bits)`` does.
+        """
+        top = self.max_q.bit_length() - 1  # max_q's binade, in units of the step
+        return _round_to_grid(
+            x, np.abs(x) if mag is None else mag,
+            shared_exp, top - self.frac_bits, top, self.max_normal,
+            keep_negative_zero=True,
+        )
 
     def encode_bits(self, x: np.ndarray) -> np.ndarray:
         q = round_half_even(np.asarray(x, dtype=np.float64) * (1 << self.frac_bits))

@@ -6,6 +6,9 @@ Implements Eq. (1) of the paper:
 
 with the shared exponent clamped to the E8M0 range ``[-127, 127]`` and
 elements converted with saturation, per the OCP MX specification v1.0.
+Elements are rounded in the real domain by the element codec's
+:meth:`~repro.core.elem.FloatCodec.round_scaled` kernel; ``encode`` and
+``quantize_dequantize`` share it.
 """
 
 from __future__ import annotations
@@ -53,20 +56,27 @@ class MXFormat(BlockFormat):
         self.name = name or f"mx-{elem.name}"
 
     # ------------------------------------------------------------------
-    def _shared_exp(self, blocks: np.ndarray) -> np.ndarray:
+    def _shared_exp(self, mag: np.ndarray) -> np.ndarray:
         """Per-block shared exponent per Eq. (1), clamped to E8M0 range."""
-        amax = np.max(np.abs(blocks), axis=-1)
+        # |x| >= 0, so the int64 view orders like the floats (and reduces faster).
+        amax = np.max(mag.view(np.int64), axis=-1).view(np.float64)
         exp = floor_log2(amax) - self.elem.emax
         # All-zero blocks get the minimum exponent; their elements quantize
         # to zero regardless of scale.
         exp = np.where(amax == 0, E8M0_MIN, exp)
         return np.clip(exp, E8M0_MIN, E8M0_MAX).astype(np.int32)
 
+    def _round(self, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every block rounded onto its real-domain grid, and the shared exponents."""
+        mag = np.abs(data)
+        shared_exp = self._shared_exp(mag)
+        return self.elem.round_scaled(data, shared_exp[..., None], mag), shared_exp
+
     def encode(self, x: np.ndarray, axis: int = -1) -> MXEncoded:
         blocked = to_blocks(x, self.block_size, axis)
-        shared_exp = self._shared_exp(blocked.data)
-        scale = np.exp2(shared_exp.astype(np.float64))[..., None]
-        elem_values = self.elem.quantize(blocked.data / scale)
+        q, shared_exp = self._round(blocked.data)
+        # Scaling a grid value by a power of two is exact.
+        elem_values = q * np.ldexp(1.0, -shared_exp)[..., None]
         return MXEncoded(shared_exp=shared_exp, elem_values=elem_values, blocked=blocked)
 
     def decode(self, enc: MXEncoded) -> np.ndarray:
@@ -74,7 +84,10 @@ class MXFormat(BlockFormat):
         return from_blocks(enc.blocked, enc.elem_values * scale)
 
     def quantize_dequantize(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
-        return self.decode(self.encode(x, axis))
+        """Fake-quantize without building an :class:`MXEncoded`: equal, bit
+        for bit, to ``decode(encode(x, axis))``."""
+        blocked = to_blocks(x, self.block_size, axis)
+        return from_blocks(blocked, self._round(blocked.data)[0])
 
     def bits_per_element(self) -> float:
         return self.elem.bits + 8.0 / self.block_size

@@ -82,47 +82,71 @@ class MXPlusFormat(BlockFormat):
 
     # ------------------------------------------------------------------
     def encode(self, x: np.ndarray, axis: int = -1) -> MXPlusEncoded:
-        """Batched MX+ encode: every step is one whole-tensor numpy op.
+        """Batched MX+ encode: the real-domain rounding of
+        :meth:`quantize_dequantize`, scaled into the element domain.
 
-        :meth:`encode_reference` is the per-block specification this is
-        vectorized from; ``tests/test_properties_core.py`` asserts both
-        produce identical fields and ``benchmarks/test_encode_speed.py``
-        asserts the speedup.
+        NBM values are the kernel's output times ``2**-nbm_shared_exp``
+        and the BM slot holds the extended-precision scaled BM; both
+        scalings are exact, so ``decode(encode(x))`` equals
+        ``quantize_dequantize(x)`` bit for bit. :meth:`encode_reference` is
+        the per-block specification this is vectorized from;
+        ``tests/test_properties_core.py`` asserts both produce identical
+        fields and ``benchmarks/test_encode_speed.py`` asserts the speedup.
         """
         blocked = to_blocks(x, self.block_size, axis)
-        data = blocked.data
-        absd = np.abs(data)
-
-        bm_index = np.argmax(absd, axis=-1).astype(np.int32)  # first max wins
-        amax = np.max(absd, axis=-1)  # == |data|[bm_index], without a gather
-        e_bm = floor_log2(amax)
-
-        flush = e_bm <= (-127 + self.elem.emax)  # includes all-zero blocks
-        shared_exp = np.clip(e_bm - self.elem.emax, E8M0_MIN, E8M0_MAX).astype(np.int32)
-        shared_exp = np.where(flush, ZERO_BLOCK_SENTINEL, shared_exp)
-
-        safe_exp = np.where(flush, 0, shared_exp).astype(np.float64)
-        inv_scale = np.exp2(-safe_exp)[..., None]
-
-        # NBM elements: standard MX quantization against the shared scale.
-        elem_values = self.elem.quantize(data * inv_scale)
-
-        # BM element: extended mantissa anchored at 2**e_max (Eq. 2).
-        idx = bm_index[..., None].astype(np.int64)
-        bm_signed = np.take_along_axis(data, idx, axis=-1)[..., 0]
-        bm_scaled = self._quantize_bm(bm_signed * inv_scale[..., 0])
-        np.put_along_axis(elem_values, idx, bm_scaled[..., None], axis=-1)
-
-        elem_values[flush] = 0.0
-
+        q, flush, shared, nbm, bm_index, bm_scaled = self._round(blocked.data)
+        elem_values = q * np.ldexp(1.0, -nbm)[..., None]
+        np.put_along_axis(elem_values, bm_index[..., None], bm_scaled[..., None], axis=-1)
+        shared_exp = np.where(flush, ZERO_BLOCK_SENTINEL, shared).astype(np.int32)
         return MXPlusEncoded(
             shared_exp=shared_exp,
             elem_values=elem_values,
-            bm_index=bm_index,
-            reserved=np.zeros_like(bm_index),
-            nbm_shared_exp=shared_exp,
+            bm_index=bm_index.astype(np.int32),
+            reserved=np.where(flush, 0, shared - nbm).astype(np.int32),
+            # MX+ shares one scale: ``decode`` keys its fast path on identity.
+            nbm_shared_exp=(
+                shared_exp if nbm is shared
+                else np.where(flush, ZERO_BLOCK_SENTINEL, nbm).astype(np.int32)
+            ),
             blocked=blocked,
         )
+
+    def _round(self, data: np.ndarray):
+        """Round every block onto its real-domain grid in one pass.
+
+        Returns ``(q, flush, shared, nbm, bm_index, bm_scaled)``: the
+        rounded blocks, the flushed-block mask, the BM and NBM shared
+        exponents (0 where flushed), the BM positions and the scaled
+        extended-precision BM values (0 where flushed). The NBMs go
+        through the element kernel once, against the NBM scale; only the
+        BM slot is then overwritten, by the :meth:`_quantize_bm` rule.
+        """
+        emax = self.elem.emax
+        mag = np.abs(data)
+        bm_index = np.argmax(mag, axis=-1)  # first max wins
+        # BM positions in the flattened (C-contiguous) blocks.
+        bm = bm_index + np.arange(0, data.size, self.block_size).reshape(bm_index.shape)
+        e_bm = floor_log2(mag.reshape(-1)[bm])
+
+        flush = e_bm <= (-127 + emax)  # includes all-zero blocks
+        shared = np.where(flush, 0, np.clip(e_bm - emax, E8M0_MIN, E8M0_MAX)).astype(np.int32)
+        nbm = self._nbm_shared_exp(mag, bm, shared)
+        q = self.elem.round_scaled(data, nbm[..., None], mag)
+
+        # BM element: extended mantissa anchored at 2**e_max (Eq. 2).
+        # (A flushed block's BM, possibly subnormal, never reaches the rule.)
+        bm_signed = data.reshape(-1)[bm]
+        bm_scaled = self._quantize_bm(np.where(flush, 2.0**emax, bm_signed * np.ldexp(1.0, -shared)))
+        bm_scaled[flush] = 0.0
+        q.reshape(-1)[bm] = bm_scaled * np.ldexp(1.0, shared)
+        if flush.any():
+            q[flush] = 0.0
+        return q, flush, shared, nbm, bm_index, bm_scaled
+
+    def _nbm_shared_exp(self, mag: np.ndarray, bm: np.ndarray, shared: np.ndarray) -> np.ndarray:
+        """NBM shared exponent per block (``bm``: flat BM positions in
+        ``mag``, a scratch ``|blocks|``): MX+ uses the BM's scale for all."""
+        return shared
 
     def encode_reference(self, x: np.ndarray, axis: int = -1) -> MXPlusEncoded:
         """Per-block Python-loop encoder: the readable MX+ specification.
@@ -200,7 +224,10 @@ class MXPlusFormat(BlockFormat):
         return from_blocks(enc.blocked, out)
 
     def quantize_dequantize(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
-        return self.decode(self.encode(x, axis))
+        """Fake-quantize without building an :class:`MXPlusEncoded`
+        (MX++ included): equal, bit for bit, to ``decode(encode(x, axis))``."""
+        blocked = to_blocks(x, self.block_size, axis)
+        return from_blocks(blocked, self._round(blocked.data)[0])
 
     def bits_per_element(self) -> float:
         return self._bits_per_element

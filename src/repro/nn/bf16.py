@@ -24,9 +24,16 @@ def bf16_round(x: np.ndarray) -> np.ndarray:
     """
     x32 = np.asarray(x, dtype=np.float32)
     bits = x32.view(np.uint32)
-    # round to nearest even: add 0x7FFF + lsb of the kept part
-    lsb = (bits >> 16) & 1
-    rounded = bits + 0x7FFF + lsb
-    out = (rounded & 0xFFFF0000).view(np.float32)
-    out = np.where(np.isfinite(x32), out, x32)
+    # round to nearest even: add 0x7FFF + lsb of the kept part (one
+    # scratch array, updated in place)
+    rounded = bits >> 16
+    rounded &= 1
+    rounded += 0x7FFF
+    rounded += bits
+    rounded &= 0xFFFF0000  # Inf survives; finite overflow rounds to Inf
+    out = rounded.view(np.float32)
+    # A NaN's payload can carry into the exponent or sign: restore NaNs.
+    nan = np.isnan(x32)
+    if nan.any():
+        out[nan] = x32[nan]
     return out.astype(np.float64)

@@ -10,7 +10,7 @@ from repro.core.intquant import quantize_int_groupwise
 from repro.core.layout import pack_mxplus, unpack_mxplus
 from repro.core.mx import MXFP4, MXFP6, MXFP8
 from repro.core.mxplus import MXFP4Plus, MXFP6Plus, MXFP8Plus
-from repro.core.mxpp import MXFP4PlusPlus
+from repro.core.mxpp import MXFP4PlusPlus, MXFP6PlusPlus, MXFP8PlusPlus
 
 finite_arrays = arrays(
     dtype=np.float64,
@@ -119,6 +119,21 @@ def test_mxplus_batched_encode_matches_reference(x, factory):
     np.testing.assert_array_equal(fast.shared_exp, slow.shared_exp)
     np.testing.assert_array_equal(fast.bm_index, slow.bm_index)
     np.testing.assert_array_equal(fast.elem_values, slow.elem_values)
+    np.testing.assert_array_equal(fmt.decode(fast), fmt.decode(slow))
+
+
+@given(finite_arrays, st.sampled_from([MXFP4PlusPlus, MXFP6PlusPlus, MXFP8PlusPlus]))
+@settings(max_examples=40, deadline=None)
+def test_mxpp_batched_encode_matches_reference(x, factory):
+    """Single-pass MX++ encode equals the per-block Section 4.3 oracle on
+    every field, signed zeros included."""
+    fmt = factory()
+    fast, slow = fmt.encode(x), fmt.encode_reference(x)
+    for field in ("shared_exp", "bm_index", "reserved", "nbm_shared_exp"):
+        np.testing.assert_array_equal(getattr(fast, field), getattr(slow, field))
+    np.testing.assert_array_equal(
+        fast.elem_values.view(np.uint64), slow.elem_values.view(np.uint64)
+    )
     np.testing.assert_array_equal(fmt.decode(fast), fmt.decode(slow))
 
 

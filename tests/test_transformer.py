@@ -31,6 +31,30 @@ class TestBF16:
         q = bf16_round(x)
         assert np.max(np.abs(q - x) / np.abs(x)) <= 2.0**-8 + 1e-12
 
+    def test_special_values(self):
+        f32max = np.finfo(np.float32).max
+        # NaNs whose payload carries into the exponent (-> Inf) or the sign
+        # (-> -0.0) under the rounding add, plus a quiet and a negative NaN.
+        nan_bits = np.array(
+            [0x7F800001, 0x7FFFFFFF, 0xFFFFFFFF, 0x7FC00000, 0xFFC00001], dtype=np.uint32
+        )
+        nans = nan_bits.view(np.float32)
+        with np.errstate(invalid="ignore"):  # widening a signaling NaN
+            q = bf16_round(nans)
+            want = nans.astype(np.float64)
+        np.testing.assert_array_equal(q.view(np.uint64), want.view(np.uint64))
+        x = np.array([np.inf, -np.inf, -0.0, 0.0, float(f32max), -float(f32max), 1.5 * 2.0**127])
+        q = bf16_round(x)
+        np.testing.assert_array_equal(q, [np.inf, -np.inf, 0.0, 0.0, np.inf, -np.inf, 1.5 * 2.0**127])
+        np.testing.assert_array_equal(np.signbit(q), [False, True, True, False, False, True, False])
+        with np.errstate(over="ignore"):  # float64 -> float32 cast overflow
+            assert bf16_round(np.array([1e39, -1e39])).tolist() == [np.inf, -np.inf]
+        # float32 input is not modified in place
+        x32 = nans.copy()
+        with np.errstate(invalid="ignore"):
+            bf16_round(x32)
+        np.testing.assert_array_equal(x32.view(np.uint32), nan_bits)
+
 
 class TestLayers:
     def test_linear_shapes(self):
