@@ -139,6 +139,13 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward()
+        # Free the graph once it has been used: each closure refers back to
+        # its output node, so a kept graph is a reference cycle that only the
+        # cyclic collector can reclaim, and a training step leaves hundreds of
+        # MB of activations behind until it runs.
+        for node in topo:
+            node._backward = None
+            node._parents = ()
 
     # ------------------------------------------------------------------
     # arithmetic

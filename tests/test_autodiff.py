@@ -3,6 +3,9 @@
 Gradients are checked against central finite differences.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -174,3 +177,21 @@ class TestGraphMechanics:
         t = Tensor(np.array([0.3, 1.7]), requires_grad=True)
         t.apply_ste(np.round).sum().backward()
         np.testing.assert_allclose(t.grad, [1.0, 1.0])
+
+    def test_backward_frees_graph_without_cyclic_gc(self):
+        # A used graph must be freed by reference counting alone: training
+        # otherwise keeps every step's activations until the cyclic collector
+        # runs, which in a large process can be never.
+        t = Tensor(np.ones((4, 4)), requires_grad=True)
+        y = t * 2.0
+        z = (y * y).sum()
+        alive = weakref.ref(y.data)
+        gc.disable()
+        try:
+            z.backward()
+            assert y._parents == () and y._backward is None
+            del y, z
+            assert alive() is None
+        finally:
+            gc.enable()
+        np.testing.assert_allclose(t.grad, np.full((4, 4), 8.0))
