@@ -8,12 +8,13 @@ saturation on overflow (the OCP MX specification converts with saturation).
 
 The codecs here are value-level (they return exactly-representable floats)
 and bit-level (they can produce and consume the packed bit patterns used by
-:mod:`repro.core.layout`).
+:mod:`repro.core.layout`, through lookup tables built once per codec).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -109,8 +110,74 @@ def _round_to_grid(
     return np.copysign(mag, sign, out=mag)
 
 
+_NO_CODE = np.uint32(0xFFFFFFFF)  # a key that no grid value has
+
+
+class _BitTables:
+    """Table-driven bit codes, shared by the element codecs.
+
+    A code's value is one gather from :attr:`value_table`, the codec's
+    bit-field formula (``_decode_formula``) evaluated once per code. A
+    value's code is one gather from a table keyed by the top
+    ``1 + 11 + _key_mbits`` bits of its float64 pattern: sign, exponent
+    and the leading fraction bits, as many as the codec's finest grid
+    value has (:meth:`encode_bits`).
+    """
+
+    @cached_property
+    def value_table(self) -> np.ndarray:
+        """Every code's value, indexed by code (read-only)."""
+        table = self._decode_formula(np.arange(1 << self.bits, dtype=np.uint32))
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def _code_table(self) -> np.ndarray:
+        """Code of every grid value, by key; :data:`_NO_CODE` elsewhere.
+
+        Codes whose value lies beyond ``max_normal`` (NaN and Inf patterns,
+        the two's-complement minimum) get no key. A zero with no code of its
+        own (two's complement has no ``-0.0``) takes ``+0.0``'s.
+        """
+        shift = 52 - self._key_mbits
+        values = self.value_table
+        codes = np.flatnonzero(np.abs(values) <= self.max_normal)
+        bits = values[codes].view(np.int64)  # grid values: zero below the key
+        table = np.full(1 << (64 - shift), _NO_CODE, dtype=np.uint32)
+        # An arithmetic shift: a negative value's key is negative and
+        # indexes the table's upper half, as its sign bit would.
+        table[bits >> shift] = codes
+        neg_zero = np.int64(np.iinfo(np.int64).min) >> shift
+        if table[neg_zero] == _NO_CODE:
+            table[neg_zero] = table[0]
+        return table
+
+    def encode_bits(self, x: np.ndarray) -> np.ndarray:
+        """Encode representable values to their bit patterns (uint32).
+
+        One shift and one gather. ``x`` must be exactly on the grid (e.g.
+        the output of :meth:`quantize`): a value whose key has no code
+        (NaN, Inf, beyond ``max_normal``, or a binade or leading fraction
+        the grid lacks) or whose lower fraction bits are not zero raises
+        ``ValueError``.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        bits = x.reshape(-1).view(np.int64)
+        shift = 52 - self._key_mbits
+        key = bits >> shift
+        codes = self._code_table[key]
+        low = np.bitwise_and(bits, (1 << shift) - 1, out=key)  # reuses the buffer
+        if codes.size and (low.any() or codes.max() == _NO_CODE):
+            raise ValueError("values are not on the representable grid")
+        return codes.reshape(x.shape)
+
+    def decode_bits(self, bits: np.ndarray) -> np.ndarray:
+        """Decode bit patterns back to float values: one gather."""
+        return self.value_table[np.asarray(bits)]
+
+
 @dataclass(frozen=True)
-class FloatCodec:
+class FloatCodec(_BitTables):
     """A small floating-point encoding ``1 + ebits + mbits`` bits wide.
 
     Parameters
@@ -210,46 +277,14 @@ class FloatCodec:
         return np.array(sorted(set(vals)))
 
     # ------------------------------------------------------------------
-    # Bit-level encode/decode
+    # Bit-level encode/decode (:class:`_BitTables`)
     # ------------------------------------------------------------------
-    def encode_bits(self, x: np.ndarray) -> np.ndarray:
-        """Encode representable values to their bit patterns (uint32).
+    @property
+    def _key_mbits(self) -> int:
+        return self.mbits
 
-        ``x`` must already be on the representable grid (e.g. the output of
-        :meth:`quantize`); values off-grid raise ``ValueError``.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        sign = (x < 0) | ((x == 0) & (np.signbit(x)))
-        mag = np.abs(x)
-
-        exp = floor_log2(mag)
-        is_sub = (mag > 0) & (exp < self.emin)
-        is_zero = mag == 0
-
-        norm_exp = np.clip(exp, self.emin, self.emax)
-        frac = np.where(is_zero, 0.0, mag / np.exp2(norm_exp.astype(np.float64)))
-        # normals: frac in [1, 2) -> mantissa = (frac - 1) * 2^mbits
-        # subnormals: use emin's scale -> mantissa = mag / 2^(emin - mbits)
-        mant = np.where(
-            is_sub | is_zero,
-            mag / np.exp2(float(self.emin - self.mbits)),
-            (frac - 1.0) * (1 << self.mbits),
-        )
-        mant_i = round_half_even(mant).astype(np.uint32)
-        if not np.allclose(mant, mant_i, atol=1e-9):
-            raise ValueError("values are not on the representable grid")
-        exp_field = np.where(
-            is_sub | is_zero, 0, norm_exp + self.bias
-        ).astype(np.uint32)
-        return (
-            (sign.astype(np.uint32) << (self.ebits + self.mbits))
-            | (exp_field << self.mbits)
-            | mant_i
-        )
-
-    def decode_bits(self, bits: np.ndarray) -> np.ndarray:
-        """Decode bit patterns back to float values."""
-        bits = np.asarray(bits, dtype=np.uint32)
+    def _decode_formula(self, bits: np.ndarray) -> np.ndarray:
+        """Bit patterns to values by their fields: builds :attr:`value_table`."""
         sign = (bits >> (self.ebits + self.mbits)) & 1
         exp_field = (bits >> self.mbits) & ((1 << self.ebits) - 1)
         mant = bits & ((1 << self.mbits) - 1)
@@ -262,7 +297,7 @@ class FloatCodec:
 
 
 @dataclass(frozen=True)
-class IntCodec:
+class IntCodec(_BitTables):
     """Fixed-point integer element codec (MXINT style).
 
     Values are interpreted as ``q * 2**-frac_bits`` with ``q`` a signed
@@ -305,13 +340,13 @@ class IntCodec:
             keep_negative_zero=True,
         )
 
-    def encode_bits(self, x: np.ndarray) -> np.ndarray:
-        q = round_half_even(np.asarray(x, dtype=np.float64) * (1 << self.frac_bits))
-        q = np.clip(q, -self.max_q, self.max_q).astype(np.int64)
-        return (q & ((1 << self.bits) - 1)).astype(np.uint32)
+    @property
+    def _key_mbits(self) -> int:
+        return self.bits - 2  # max_q has bits - 1 significant bits
 
-    def decode_bits(self, bits: np.ndarray) -> np.ndarray:
-        bits = np.asarray(bits, dtype=np.uint32).astype(np.int64)
+    def _decode_formula(self, bits: np.ndarray) -> np.ndarray:
+        """Two's-complement codes to values: builds :attr:`value_table`."""
+        bits = bits.astype(np.int64)
         signed = np.where(bits >= (1 << (self.bits - 1)), bits - (1 << self.bits), bits)
         return signed.astype(np.float64) / (1 << self.frac_bits)
 

@@ -1,10 +1,18 @@
 """Bit-level packing of MX and MX+ blocks (Figures 6-7).
 
 MX stores ``k`` element codes plus one E8M0 scale byte per block. MX+ adds
-one sideband byte per block: 5 bits of BM index + 3 reserved bits (MX++
-stores the NBM scale delta there). All elements keep the same bit width, so
-MX+ never causes unaligned element access — the sideband lives in its own
-(possibly non-contiguous) stream, exactly as the paper describes.
+one sideband byte per block: the BM index in its top bits (5 for blocks of
+up to 32, as in the paper; 6 for 64) and reserved bits below it (MX++
+stores the NBM scale delta there). All elements keep the same bit width,
+so MX+ never causes unaligned element access — the sideband lives in its
+own (possibly non-contiguous) stream, exactly as the paper describes.
+
+Element codes come from the element codec's tables, not from float
+arithmetic: :meth:`~repro.core.elem.FloatCodec.encode_bits` is one gather
+keyed by the top bits of each value's float64 pattern, and
+:meth:`~repro.core.elem.FloatCodec.decode_bits` one gather from a
+``2**bits`` value table. An MX+ block's BM slot, addressed by its flat
+position, is the only per-block work.
 
 These functions are the storage ground truth for the overhead numbers
 quoted in the paper (MXFP4: 4.25 -> MXFP4+: 4.5 average bits/element) and
@@ -17,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elem import FloatCodec, round_half_even
+from .elem import round_half_even
 from .mx import MXEncoded, MXFormat
-from .mxplus import MXPlusEncoded, MXPlusFormat
+from .mxplus import MXPlusEncoded, MXPlusFormat, bm_positions
 from .scale import ZERO_BLOCK_SENTINEL, decode_e8m0, encode_e8m0
 
 __all__ = [
@@ -46,10 +54,11 @@ def pack_bits(codes: np.ndarray, bits: int) -> bytes:
 def unpack_bits(buf: bytes, bits: int, count: int) -> np.ndarray:
     """Inverse of :func:`pack_bits`; returns ``count`` codes as uint32."""
     raw = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), count=count * bits)
-    raw = raw.reshape(count, bits).astype(np.uint32)
-    out = np.zeros(count, dtype=np.uint32)
-    for b in range(bits):
-        out |= raw[:, b] << (bits - 1 - b)
+    raw = raw.reshape(count, bits)
+    out = raw[:, 0].astype(np.uint32)
+    for b in range(1, bits):
+        out <<= 1
+        out |= raw[:, b]
     return out
 
 
@@ -93,7 +102,7 @@ def unpack_mx(fmt: MXFormat, packed: PackedMX) -> MXEncoded:
 class PackedMXPlus:
     elements: bytes
     scales: bytes
-    sideband: bytes  # one byte per block: (bm_index << 3) | reserved
+    sideband: bytes  # one byte per block: BM index above the reserved bits
     nblocks: int
     block_shape: tuple
     blocked: object
@@ -119,59 +128,61 @@ def _bm_decode(fmt: MXPlusFormat, codes: np.ndarray) -> np.ndarray:
     return sign * 2.0**fmt.elem.emax * (1.0 + frac / steps)
 
 
+def _reserved_bits(k: int) -> int:
+    """Sideband bits below the BM index: 3 for blocks of up to 32 (the
+    paper's 5-bit index), 2 for 64."""
+    return 8 - max(5, (k - 1).bit_length())
+
+
 def pack_mxplus(fmt: MXPlusFormat, enc: MXPlusEncoded) -> PackedMXPlus:
     """Pack an MX+/MX++ encoding: elements, scales, and the sideband byte."""
     k = fmt.block_size
-    is_bm = np.arange(k, dtype=np.int32) == enc.bm_index[..., None]
+    low = _reserved_bits(k)
+    if low < 0 or np.any(enc.reserved >= (1 << low)):
+        raise ValueError(
+            f"the sideband byte has no room for {fmt.name}'s BM index and reserved bits"
+        )
+    bm = bm_positions(enc.bm_index, k)
     # NBM codes use the standard element encoding; the BM slot is overwritten
     # with the extended-mantissa code at the same bit width (Fig. 6).
-    nbm_for_codes = np.where(is_bm, 0.0, enc.elem_values)
-    codes = fmt.elem.encode_bits(nbm_for_codes)
-    bm_scaled = np.take_along_axis(
-        enc.elem_values, enc.bm_index[..., None].astype(np.int64), axis=-1
-    )[..., 0]
-    flush = enc.shared_exp == ZERO_BLOCK_SENTINEL
-    bm_codes = np.where(flush, 0, _bm_code(fmt, np.where(flush, 2.0**fmt.elem.emax, bm_scaled)))
-    np.put_along_axis(
-        codes, enc.bm_index[..., None].astype(np.int64), bm_codes[..., None].astype(np.uint32), axis=-1
-    )
+    # A flushed block's elements are all zero, so its BM code is 0 too.
+    values = enc.elem_values.copy()
+    flat = values.reshape(-1)
+    bm_codes = _bm_code(fmt, flat[bm])
+    flat[bm] = 0.0
+    codes = fmt.elem.encode_bits(values)
+    codes.reshape(-1)[bm] = bm_codes
 
-    sideband = ((enc.bm_index.astype(np.uint8) & 0x1F) << 3) | (
-        enc.reserved.astype(np.uint8) & 0x7
-    )
+    sideband = (enc.bm_index.astype(np.uint8) << low) | enc.reserved.astype(np.uint8)
     return PackedMXPlus(
         elements=pack_bits(codes, fmt.elem.bits),
         scales=encode_e8m0(enc.shared_exp, mx_plus=True).tobytes(),
         sideband=sideband.tobytes(),
         nblocks=int(np.prod(enc.shared_exp.shape)),
         block_shape=enc.shared_exp.shape,
-        blocked=packed_blocked(enc),
+        blocked=enc.blocked,
     )
-
-
-def packed_blocked(enc: MXPlusEncoded):
-    return enc.blocked
 
 
 def unpack_mxplus(fmt: MXPlusFormat, packed: PackedMXPlus) -> MXPlusEncoded:
     k = fmt.block_size
-    codes = unpack_bits(packed.elements, fmt.elem.bits, packed.nblocks * k).reshape(
-        packed.block_shape + (k,)
-    )
+    low = _reserved_bits(k)
+    codes = unpack_bits(packed.elements, fmt.elem.bits, packed.nblocks * k)
     sideband = np.frombuffer(packed.sideband, dtype=np.uint8).reshape(packed.block_shape)
-    bm_index = (sideband >> 3).astype(np.int32)
-    reserved = (sideband & 0x7).astype(np.int32)
+    bm_index = (sideband >> low).astype(np.int32)
+    reserved = (sideband & ((1 << low) - 1)).astype(np.int32)
 
+    bm = bm_positions(bm_index, k)
     values = fmt.elem.decode_bits(codes)
-    bm_codes = np.take_along_axis(codes, bm_index[..., None].astype(np.int64), axis=-1)[..., 0]
-    bm_vals = _bm_decode(fmt, bm_codes)
-    np.put_along_axis(values, bm_index[..., None].astype(np.int64), bm_vals[..., None], axis=-1)
+    values[bm] = _bm_decode(fmt, codes[bm])
+    values = values.reshape(packed.block_shape + (k,))
 
     shared_exp = decode_e8m0(
         np.frombuffer(packed.scales, dtype=np.uint8), mx_plus=True
     ).reshape(packed.block_shape).astype(np.int32)
     flush = shared_exp == ZERO_BLOCK_SENTINEL
-    values = np.where(flush[..., None], 0.0, values)
+    if flush.any():
+        values[flush] = 0.0
     return MXPlusEncoded(
         shared_exp=shared_exp,
         elem_values=values,

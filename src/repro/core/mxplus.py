@@ -41,6 +41,11 @@ __all__ = [
 ]
 
 
+def bm_positions(bm_index: np.ndarray, k: int) -> np.ndarray:
+    """Flat positions of the BM slots in C-contiguous ``(..., k)`` blocks."""
+    return bm_index + np.arange(0, bm_index.size * k, k).reshape(bm_index.shape)
+
+
 @dataclass
 class MXPlusEncoded:
     """Structured MX+ encoding.
@@ -124,8 +129,7 @@ class MXPlusFormat(BlockFormat):
         emax = self.elem.emax
         mag = np.abs(data)
         bm_index = np.argmax(mag, axis=-1)  # first max wins
-        # BM positions in the flattened (C-contiguous) blocks.
-        bm = bm_index + np.arange(0, data.size, self.block_size).reshape(bm_index.shape)
+        bm = bm_positions(bm_index, self.block_size)
         e_bm = floor_log2(mag.reshape(-1)[bm])
 
         flush = e_bm <= (-127 + emax)  # includes all-zero blocks

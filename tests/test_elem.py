@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.elem import (
     E2M1,
@@ -12,6 +14,7 @@ from repro.core.elem import (
     INT4_MX,
     INT8_MX,
     FloatCodec,
+    IntCodec,
     floor_log2,
     round_half_even,
 )
@@ -137,31 +140,95 @@ class TestQuantizeInvariants:
         np.testing.assert_allclose(np.abs(q - x), nearest, atol=1e-12)
 
 
+ALL_CODECS = ALL_FLOAT + [INT8_MX, INT4_MX]
+
+
+def _grid(codec) -> np.ndarray:
+    """Every value ``encode_bits`` accepts, ``-0.0`` included."""
+    vals = codec.value_table
+    return np.append(vals[np.abs(vals) <= codec.max_normal], -0.0)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
 class TestBitCodecs:
     @pytest.mark.parametrize("codec", ALL_FLOAT, ids=lambda c: c.name)
     def test_roundtrip_all_values(self, codec):
         vals = codec.representable_values()
-        full = np.concatenate([-vals[vals > 0], vals])
+        full = np.concatenate([-vals[::-1], vals])  # -0.0 and +0.0 both
         bits = codec.encode_bits(full)
         assert np.all(bits < (1 << codec.bits))
-        np.testing.assert_allclose(codec.decode_bits(bits), full)
+        np.testing.assert_array_equal(_bits(codec.decode_bits(bits)), _bits(full))
+
+    @pytest.mark.parametrize("codec", ALL_CODECS, ids=lambda c: c.name)
+    def test_decode_of_encode_is_identity_on_the_grid(self, codec):
+        """Bitwise over every grid value; MXINT's ``-0.0`` is code 0, ``+0.0``."""
+        grid = _grid(codec)
+        want = grid + 0.0 if isinstance(codec, IntCodec) else grid
+        got = codec.decode_bits(codec.encode_bits(grid))
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("codec", ALL_CODECS, ids=lambda c: c.name)
+    def test_value_table_is_the_field_formula(self, codec):
+        codes = np.arange(1 << codec.bits, dtype=np.uint32)
+        np.testing.assert_array_equal(
+            _bits(codec.value_table), _bits(codec._decode_formula(codes))
+        )
 
     def test_e2m1_known_patterns(self):
         # S EE M: 0 00 0 = +0, 0 01 0 = 1.0, 0 11 1 = 6.0, 1 11 1 = -6.0
         assert E2M1.encode_bits(np.array([0.0]))[0] == 0b0000
+        assert E2M1.encode_bits(np.array([-0.0]))[0] == 0b1000
         assert E2M1.encode_bits(np.array([1.0]))[0] == 0b0010
         assert E2M1.encode_bits(np.array([6.0]))[0] == 0b0111
         assert E2M1.encode_bits(np.array([-6.0]))[0] == 0b1111
         assert E2M1.encode_bits(np.array([0.5]))[0] == 0b0001  # subnormal
 
+    def test_int8_negative_zero_is_code_zero(self):
+        assert INT8_MX.encode_bits(np.array([-0.0]))[0] == 0
+
     def test_off_grid_raises(self):
         with pytest.raises(ValueError):
             E2M1.encode_bits(np.array([1.3]))
 
+    def test_off_grid_is_exact(self):
+        # within the rtol=1e-5 the float-arithmetic encoder tolerated
+        with pytest.raises(ValueError):
+            E2M1.encode_bits(np.array([1.5 + 1e-9]))
+
     def test_int8_roundtrip(self):
         q = INT8_MX.quantize(np.linspace(-2, 2, 301))
         bits = INT8_MX.encode_bits(q)
-        np.testing.assert_allclose(INT8_MX.decode_bits(bits), q)
+        np.testing.assert_array_equal(_bits(INT8_MX.decode_bits(bits)), _bits(q + 0.0))
+
+    @pytest.mark.parametrize("codec", ALL_CODECS, ids=lambda c: c.name)
+    def test_rejects_special_values(self, codec):
+        smallest = np.min(np.abs(_grid(codec))[np.abs(_grid(codec)) > 0])
+        for v in (np.nan, np.inf, -np.inf, smallest / 2, -smallest / 2,
+                  np.nextafter(codec.max_normal, np.inf), -2 * codec.max_normal):
+            with pytest.raises(ValueError):
+                codec.encode_bits(np.array([0.0, v]))
+
+    @pytest.mark.parametrize("codec", ALL_CODECS, ids=lambda c: c.name)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rejects_off_grid(self, codec, data):
+        """``nextafter`` neighbours of grid points, values beyond
+        ``max_normal`` and nonzero values below the smallest step."""
+        grid = _grid(codec)
+        smallest = np.min(np.abs(grid)[np.abs(grid) > 0])
+        v = data.draw(st.one_of(
+            st.sampled_from(grid.tolist()).flatmap(
+                lambda g: st.sampled_from([np.nextafter(g, np.inf), np.nextafter(g, -np.inf)])
+            ),
+            st.floats(min_value=codec.max_normal, exclude_min=True, allow_infinity=False),
+            st.floats(max_value=smallest, exclude_max=True, min_value=0.0, exclude_min=True),
+        ))
+        sign = data.draw(st.sampled_from([1.0, -1.0]))
+        with pytest.raises(ValueError):
+            codec.encode_bits(np.array([sign * v]))
 
 
 class TestHelpers:

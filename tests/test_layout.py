@@ -11,11 +11,15 @@ from repro.core.layout import (
     unpack_mx,
     unpack_mxplus,
 )
-from repro.core.mx import MXFP4, MXFP6, MXFP8
-from repro.core.mxplus import MXFP4Plus, MXFP6Plus, MXFP8Plus
+from repro.core.mx import MXFP4, MXFP4K64, MXFP6, MXFP8, MXINT8
+from repro.core.mxplus import MXFP4Plus, MXFP4PlusK64, MXFP6Plus, MXFP8Plus
 from repro.core.mxpp import MXFP4PlusPlus
 
 FIG4_UPPER_BF16 = np.array([-0.27, -0.19, 0.99, -0.20, -9.84, -0.39])
+
+
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestBitPacking:
@@ -33,7 +37,9 @@ class TestBitPacking:
 
 
 class TestMXPacking:
-    @pytest.mark.parametrize("factory", [MXFP4, MXFP6, MXFP8], ids=["4", "6", "8"])
+    @pytest.mark.parametrize(
+        "factory", [MXFP4, MXFP6, MXFP8, MXINT8, MXFP4K64], ids=["4", "6", "8", "int8", "4-k64"]
+    )
     def test_roundtrip(self, factory):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((4, 96)) * 3
@@ -41,7 +47,9 @@ class TestMXPacking:
         enc = fmt.encode(x)
         packed = pack_mx(fmt, enc)
         enc2 = unpack_mx(fmt, packed)
-        np.testing.assert_allclose(fmt.decode(enc2), fmt.decode(enc))
+        # MXINT stores -0.0 as code 0: two's complement has no negative zero.
+        want = fmt.decode(enc) + 0.0 if factory is MXINT8 else fmt.decode(enc)
+        assert_same_bits(fmt.decode(enc2), want)
 
     def test_mxfp4_storage_per_block(self):
         # 32 elements * 4 bits + 8-bit scale = 17 bytes per block.
@@ -60,8 +68,8 @@ class TestMXPacking:
 
 class TestMXPlusPacking:
     @pytest.mark.parametrize(
-        "factory", [MXFP4Plus, MXFP6Plus, MXFP8Plus, MXFP4PlusPlus],
-        ids=["4+", "6+", "8+", "4++"],
+        "factory", [MXFP4Plus, MXFP6Plus, MXFP8Plus, MXFP4PlusPlus, MXFP4PlusK64],
+        ids=["4+", "6+", "8+", "4++", "4+-k64"],
     )
     def test_roundtrip(self, factory):
         rng = np.random.default_rng(1)
@@ -71,7 +79,16 @@ class TestMXPlusPacking:
         enc = fmt.encode(x)
         packed = pack_mxplus(fmt, enc)
         enc2 = unpack_mxplus(fmt, packed)
-        np.testing.assert_allclose(fmt.decode(enc2), fmt.decode(enc))
+        assert_same_bits(fmt.decode(enc2), fmt.decode(enc))
+
+    def test_k64_bm_index_above_31(self):
+        # 64-element blocks need a 6-bit BM index (2 reserved bits left).
+        fmt = MXFP4PlusK64()
+        x = np.ones((1, 64))
+        x[0, 50] = -9.0
+        packed = pack_mxplus(fmt, fmt.encode(x))
+        assert np.frombuffer(packed.sideband, dtype=np.uint8)[0] == 50 << 2
+        assert unpack_mxplus(fmt, packed).bm_index[0] == 50
 
     def test_sideband_encoding(self):
         fmt = MXFP4Plus()
