@@ -8,7 +8,8 @@ saturation on overflow (the OCP MX specification converts with saturation).
 
 The codecs here are value-level (they return exactly-representable floats)
 and bit-level (they can produce and consume the packed bit patterns used by
-:mod:`repro.core.layout`, through lookup tables built once per codec).
+:mod:`repro.core.layout`: FP codes through lookup tables built once per
+codec, MXINT codes through an exact power-of-two scale).
 """
 
 from __future__ import annotations
@@ -111,17 +112,14 @@ def _round_to_grid(
 
 
 _NO_CODE = np.uint32(0xFFFFFFFF)  # a key that no grid value has
+_OFF_GRID = "values are not on the representable grid"
 
 
 class _BitTables:
-    """Table-driven bit codes, shared by the element codecs.
+    """Table-driven decoding, shared by the element codecs.
 
     A code's value is one gather from :attr:`value_table`, the codec's
-    bit-field formula (``_decode_formula``) evaluated once per code. A
-    value's code is one gather from a table keyed by the top
-    ``1 + 11 + _key_mbits`` bits of its float64 pattern: sign, exponent
-    and the leading fraction bits, as many as the codec's finest grid
-    value has (:meth:`encode_bits`).
+    bit-field formula (``_decode_formula``) evaluated once per code.
     """
 
     @cached_property
@@ -130,46 +128,6 @@ class _BitTables:
         table = self._decode_formula(np.arange(1 << self.bits, dtype=np.uint32))
         table.flags.writeable = False
         return table
-
-    @cached_property
-    def _code_table(self) -> np.ndarray:
-        """Code of every grid value, by key; :data:`_NO_CODE` elsewhere.
-
-        Codes whose value lies beyond ``max_normal`` (NaN and Inf patterns,
-        the two's-complement minimum) get no key. A zero with no code of its
-        own (two's complement has no ``-0.0``) takes ``+0.0``'s.
-        """
-        shift = 52 - self._key_mbits
-        values = self.value_table
-        codes = np.flatnonzero(np.abs(values) <= self.max_normal)
-        bits = values[codes].view(np.int64)  # grid values: zero below the key
-        table = np.full(1 << (64 - shift), _NO_CODE, dtype=np.uint32)
-        # An arithmetic shift: a negative value's key is negative and
-        # indexes the table's upper half, as its sign bit would.
-        table[bits >> shift] = codes
-        neg_zero = np.int64(np.iinfo(np.int64).min) >> shift
-        if table[neg_zero] == _NO_CODE:
-            table[neg_zero] = table[0]
-        return table
-
-    def encode_bits(self, x: np.ndarray) -> np.ndarray:
-        """Encode representable values to their bit patterns (uint32).
-
-        One shift and one gather. ``x`` must be exactly on the grid (e.g.
-        the output of :meth:`quantize`): a value whose key has no code
-        (NaN, Inf, beyond ``max_normal``, or a binade or leading fraction
-        the grid lacks) or whose lower fraction bits are not zero raises
-        ``ValueError``.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        bits = x.reshape(-1).view(np.int64)
-        shift = 52 - self._key_mbits
-        key = bits >> shift
-        codes = self._code_table[key]
-        low = np.bitwise_and(bits, (1 << shift) - 1, out=key)  # reuses the buffer
-        if codes.size and (low.any() or codes.max() == _NO_CODE):
-            raise ValueError("values are not on the representable grid")
-        return codes.reshape(x.shape)
 
     def decode_bits(self, bits: np.ndarray) -> np.ndarray:
         """Decode bit patterns back to float values: one gather."""
@@ -277,11 +235,45 @@ class FloatCodec(_BitTables):
         return np.array(sorted(set(vals)))
 
     # ------------------------------------------------------------------
-    # Bit-level encode/decode (:class:`_BitTables`)
+    # Bit-level encode/decode (decoding: :class:`_BitTables`)
     # ------------------------------------------------------------------
-    @property
-    def _key_mbits(self) -> int:
-        return self.mbits
+    @cached_property
+    def _code_table(self) -> np.ndarray:
+        """Code of every grid value, keyed by the top ``1 + 11 + mbits``
+        bits of its float64 pattern; :data:`_NO_CODE` elsewhere.
+
+        Sign, exponent and the leading ``mbits`` fraction bits: as many
+        as the grid's finest value has, so at most 2**15 entries. Codes
+        whose value lies beyond ``max_normal`` (NaN and Inf patterns) get
+        no key.
+        """
+        shift = 52 - self.mbits
+        values = self.value_table
+        codes = np.flatnonzero(np.abs(values) <= self.max_normal)
+        table = np.full(1 << (64 - shift), _NO_CODE, dtype=np.uint32)
+        # An arithmetic shift: a negative value's key is negative and
+        # indexes the table's upper half, as its sign bit would.
+        table[values[codes].view(np.int64) >> shift] = codes
+        return table
+
+    def encode_bits(self, x: np.ndarray) -> np.ndarray:
+        """Encode representable values to their bit patterns (uint32).
+
+        One shift and one gather. ``x`` must be exactly on the grid (e.g.
+        the output of :meth:`quantize`): a value whose key has no code
+        (NaN, Inf, beyond ``max_normal``, or a binade or leading fraction
+        the grid lacks) or whose lower fraction bits are not zero raises
+        ``ValueError``.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        bits = x.reshape(-1).view(np.int64)
+        shift = 52 - self.mbits
+        key = bits >> shift
+        codes = self._code_table[key]
+        low = np.bitwise_and(bits, (1 << shift) - 1, out=key)  # reuses the buffer
+        if codes.size and (low.any() or codes.max() == _NO_CODE):
+            raise ValueError(_OFF_GRID)
+        return codes.reshape(x.shape)
 
     def _decode_formula(self, bits: np.ndarray) -> np.ndarray:
         """Bit patterns to values by their fields: builds :attr:`value_table`."""
@@ -340,9 +332,22 @@ class IntCodec(_BitTables):
             keep_negative_zero=True,
         )
 
-    @property
-    def _key_mbits(self) -> int:
-        return self.bits - 2  # max_q has bits - 1 significant bits
+    def encode_bits(self, x: np.ndarray) -> np.ndarray:
+        """Encode representable values to two's-complement codes (uint32).
+
+        ``q = x * 2**frac_bits`` is exact (a power-of-two scale), and ``x``
+        is on the grid only if ``q`` is an integer with ``|q| <= max_q``;
+        anything else (NaN and ±inf included) raises ``ValueError``.
+        ``-0.0`` is code 0: two's complement has no negative zero.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        # Checked first: NaN fails it, and a bounded x cannot overflow when scaled.
+        if x.size and not np.abs(x).max() <= self.max_normal:
+            raise ValueError(_OFF_GRID)
+        q = x * float(1 << self.frac_bits)
+        if not np.array_equal(q, np.rint(q)):
+            raise ValueError(_OFF_GRID)
+        return (q.astype(np.int64) & ((1 << self.bits) - 1)).astype(np.uint32)
 
     def _decode_formula(self, bits: np.ndarray) -> np.ndarray:
         """Two's-complement codes to values: builds :attr:`value_table`."""

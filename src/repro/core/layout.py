@@ -11,8 +11,9 @@ Element codes come from the element codec's tables, not from float
 arithmetic: :meth:`~repro.core.elem.FloatCodec.encode_bits` is one gather
 keyed by the top bits of each value's float64 pattern, and
 :meth:`~repro.core.elem.FloatCodec.decode_bits` one gather from a
-``2**bits`` value table. An MX+ block's BM slot, addressed by its flat
-position, is the only per-block work.
+``2**bits`` value table (MXINT encodes by an exact power-of-two scale
+instead). An MX+ block's BM slot, addressed by its flat position, is the
+only per-block work.
 
 These functions are the storage ground truth for the overhead numbers
 quoted in the paper (MXFP4: 4.25 -> MXFP4+: 4.5 average bits/element) and
