@@ -15,19 +15,15 @@ Configuration
 -------------
 The canonical configuration object is :class:`repro.serve.QuantRecipe` —
 ``simulate_inference``/``end_to_end_speedup``/``step_time`` accept a
-recipe, a recipe name, or a legacy :class:`ServingConfig`.
-``ServingConfig`` and the module-level ``CONFIGS`` dict are retained as
-thin deprecated shims: ``CONFIGS`` is now a view over the recipe registry
-(``repro.serve.get_recipe(name).to_serving_config()``), and new code
-should use recipes directly. The request-level front-end (continuous
-batching, TTFT/TPOT) lives in :class:`repro.serve.ServingEngine`, which is
-backed by :func:`step_time`.
+recipe, a recipe name, or a :class:`ServingConfig` — the internal timing
+struct a recipe lowers to (``QuantRecipe.to_serving_config()``). The
+request-level front-end (continuous batching, TTFT/TPOT) lives in
+:class:`repro.serve.ServingEngine`, which is backed by :func:`step_time`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -37,7 +33,6 @@ from .spec import FORMAT_BITS, GPUSpec, RTX5090
 
 __all__ = [
     "ServingConfig",
-    "CONFIGS",
     "StageTimes",
     "as_serving_config",
     "spread_layer_overrides",
@@ -52,7 +47,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ServingConfig:
-    """Low-level timing knobs for one configuration (deprecated surface).
+    """Low-level timing knobs for one configuration (internal struct).
 
     Prefer :class:`repro.serve.QuantRecipe`; this object is what
     ``QuantRecipe.to_serving_config()`` produces and what the timing
@@ -73,50 +68,6 @@ class ServingConfig:
     # (0 = physical arch layers, G > 0 = G equal groups spread over them).
     layer_overrides: tuple = ()
     n_layer_groups: int = 0
-
-
-#: The Figure 11/13 configuration names kept for the legacy ``CONFIGS`` view.
-_LEGACY_CONFIG_NAMES = (
-    "bf16",
-    "mxfp4",
-    "a-mxfp4+",
-    "mxfp8",
-    "mxfp4+",
-    "mxfp4++",
-    "a8w4",
-)
-
-
-class _ConfigsView(Mapping):
-    """Deprecated ``CONFIGS`` shim: a *live* view over the recipe registry.
-
-    Lookups resolve through ``repro.serve.get_recipe`` on every access
-    (so ``register_recipe(..., overwrite=True)`` is reflected here);
-    iteration stays pinned to the original Figure 11/13 names. New code
-    should use :func:`repro.serve.get_recipe` directly.
-    """
-
-    def __getitem__(self, name: str) -> ServingConfig:
-        if name not in _LEGACY_CONFIG_NAMES:
-            raise KeyError(
-                f"{name!r} is not a legacy CONFIGS entry; use "
-                "repro.serve.get_recipe for the full recipe registry"
-            )
-        from ..serve.recipe import get_recipe  # lazy: avoid import cycle
-
-        return get_recipe(name).to_serving_config()
-
-    def __iter__(self):
-        return iter(_LEGACY_CONFIG_NAMES)
-
-    def __len__(self) -> int:
-        return len(_LEGACY_CONFIG_NAMES)
-
-    def __repr__(self) -> str:
-        return f"_ConfigsView({dict(self)!r})"
-
-
-CONFIGS = _ConfigsView()
 
 
 def as_serving_config(cfg) -> ServingConfig:

@@ -18,9 +18,7 @@ Configuration note: :class:`repro.serve.QuantRecipe` is the canonical
 config entry point for the repo — its ``scope="linear-only"`` option
 reproduces this module's Table 7 protocol (no LM head, no attention
 matmuls), and ``QuantRecipe.to_context()`` is how recipes reach the
-numeric path these scheme contexts extend. The legacy
-``repro.gpu.inference.ServingConfig``/``CONFIGS`` surface is deprecated
-in favour of recipes.
+numeric path these scheme contexts extend.
 """
 
 from __future__ import annotations

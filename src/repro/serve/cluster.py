@@ -40,8 +40,8 @@ there (TTFT never sees the interconnect), and its KV pages then migrate
 over a :class:`~repro.serve.kvcache.KVTransfer` link — serialized, at
 the recipe's exact bytes/token — to a decode-role replica picked by
 ``decode_router``. The autoscaler applies to each pool independently.
-See :meth:`ServingCluster._run_disaggregated` and
-``docs/SERVING_GUIDE.md``.
+Unified and disaggregated fleets share one pool-aware event loop; see
+:meth:`ServingCluster.run` and ``docs/SERVING_GUIDE.md``.
 
 With one replica and no shared prefixes the cluster reproduces the
 single-engine result *exactly* — the reconciliation anchor that lets
@@ -71,6 +71,7 @@ from ..gpu.inference import step_time_cache_info
 from ..gpu.spec import GPUSpec, RTX5090
 from ..models.zoo import ArchSpec
 from .engine import (
+    LatencyView,
     Request,
     Response,
     ServingEngine,
@@ -371,7 +372,7 @@ class AutoscalePolicy:
 
 
 @dataclass
-class FleetResult:
+class FleetResult(LatencyView):
     """Fleet outcome: per-replica results + cluster-level accounting.
 
     For a disaggregated run, ``assignments`` maps each request to its
@@ -379,7 +380,9 @@ class FleetResult:
     KV migrated to, ``roles`` records each replica's pool, and
     ``transfers`` holds one record per KV migration (request id, source,
     destination, tokens/bytes moved, export/start/arrive instants).
-    Unified runs leave all four empty.
+    Unified runs leave all four empty. The latency views
+    (``mean_ttft_s``, ``p99_ttft_s``, ...) come from :class:`LatencyView`
+    over the fleet's responses.
     """
 
     responses: list[Response]  # input order, across all replicas
@@ -403,53 +406,6 @@ class FleetResult:
         """Fleet makespan: the slowest replica's virtual finish time."""
         return max((r.makespan_s for r in self.replica_results), default=0.0)
 
-    # -- cached metric views (mirrors ServingResult) -------------------
-    # Summary helpers must not rebuild million-entry Python lists (or
-    # re-sort them) per property access. Arrays are memoized on first
-    # use; `responses` is treated as frozen once any metric is read.
-    # Means use the unsorted array (same accumulation order, same
-    # float); percentiles use the sorted view (order statistics are
-    # permutation-invariant). `sorts_performed` lets tests pin the
-    # no-re-sort contract.
-
-    def _values(self, metric: str) -> np.ndarray:
-        cache = self.__dict__.setdefault("_metric_values", {})
-        arr = cache.get(metric)
-        if arr is None:
-            arr = np.asarray(
-                [getattr(r, metric) for r in self.responses], dtype=float
-            )
-            cache[metric] = arr
-        return arr
-
-    def _sorted_values(self, metric: str) -> np.ndarray:
-        cache = self.__dict__.setdefault("_metric_sorted", {})
-        arr = cache.get(metric)
-        if arr is None:
-            arr = np.sort(self._values(metric))
-            cache[metric] = arr
-            self.__dict__["_sorts"] = self.__dict__.get("_sorts", 0) + 1
-        return arr
-
-    @property
-    def sorts_performed(self) -> int:
-        """How many metric sorts this result has ever run (cache probe)."""
-        return self.__dict__.get("_sorts", 0)
-
-    @property
-    def total_tokens(self) -> int:
-        """Output tokens generated across the whole fleet."""
-        total = self.__dict__.get("_total_tokens")
-        if total is None:
-            total = sum(r.output_len for r in self.responses)
-            self.__dict__["_total_tokens"] = total
-        return total
-
-    @property
-    def throughput_tok_s(self) -> float:
-        """Fleet-level output tokens per second of virtual wall-clock."""
-        return self.total_tokens / self.makespan_s if self.makespan_s else 0.0
-
     @property
     def requests_per_s(self) -> float:
         """Completed requests per second of virtual wall-clock.
@@ -459,20 +415,6 @@ class FleetResult:
         care about completions, not just tokens.
         """
         return len(self.responses) / self.makespan_s if self.makespan_s else 0.0
-
-    @property
-    def mean_ttft_s(self) -> float:
-        """Mean time-to-first-token over all responses (seconds)."""
-        if not self.responses:
-            return 0.0
-        return float(np.mean(self._values("ttft_s")))
-
-    @property
-    def mean_tpot_s(self) -> float:
-        """Mean time-per-output-token over all responses (seconds)."""
-        if not self.responses:
-            return 0.0
-        return float(np.mean(self._values("tpot_s")))
 
     @property
     def preemptions(self) -> int:
@@ -506,12 +448,6 @@ class FleetResult:
     def peak_running(self) -> int:
         """Max concurrently decoding requests summed across replicas."""
         return sum(r.peak_running for r in self.replica_results)
-
-    def p99_ttft_s(self, q: float = 99.0) -> float:
-        """The ``q``-th percentile TTFT — the tail latency SLOs watch."""
-        if not self.responses:
-            return 0.0
-        return float(np.percentile(self._sorted_values("ttft_s"), q))
 
     @staticmethod
     def _meets_slo(
@@ -549,20 +485,9 @@ class FleetResult:
         return good / self.makespan_s
 
     def summary(
-        self,
-        ttft_slo_s: float | None = None,
-        tpot_slo_s: float | None = None,
-        include_probes: bool = False,
+        self, ttft_slo_s: float | None = None, tpot_slo_s: float | None = None
     ) -> dict:
-        """Fleet metrics plus per-replica summaries (JSON-friendly).
-
-        ``include_probes=True`` appends a ``"probes"`` block with the
-        process-wide :func:`~repro.gpu.inference.step_time_cache_info`
-        hit/miss counters and this result's ``sorts_performed`` — cache
-        introspection for profiling. Default off: probes are machine-
-        and history-dependent, and committed artifacts must stay
-        byte-identical.
-        """
+        """Fleet metrics plus per-replica summaries (JSON-friendly)."""
         out = {
             "router": self.router,
             "n_replicas": self.n_replicas,
@@ -590,11 +515,6 @@ class FleetResult:
                     "transfer_stall_s_total": self.transfer_stall_s_total,
                 }
             )
-        if include_probes:
-            out["probes"] = {
-                "sorts_performed": self.sorts_performed,
-                "step_time_cache": step_time_cache_info(),
-            }
         return out
 
 
@@ -713,6 +633,22 @@ def _validated_stream(requests):
             )
         last = request.arrival_s
         yield request
+
+
+@dataclass
+class _Pool:
+    """One routable replica set of a run: a router over a live index list.
+
+    A unified fleet is one arrival pool; a disaggregated fleet adds a
+    decode pool that KV handoffs are routed over. ``base`` is the size
+    the router was built for, restored after the run (autoscaling grows
+    it).
+    """
+
+    router: Router
+    live: list[int]
+    role: str
+    base: int
 
 
 class ServingCluster:
@@ -886,99 +822,95 @@ class ServingCluster:
         """KV tokens one replica can hold (page count x page size)."""
         return self.engines[0].kv_cache.capacity_tokens
 
+    def _pools(self) -> list[_Pool]:
+        """Fresh pools for one run: the arrival pool, then (disaggregated
+        only) the decode pool that KV handoffs are routed over."""
+        arrival_role = "prefill" if self.disaggregated else "unified"
+        specs = [(self._router_spec, arrival_role)]
+        if self.disaggregated:
+            specs.append((self._decode_router_spec, "decode"))
+        pools = []
+        for spec, role in specs:
+            live = [j for j, r in enumerate(self.roles) if r == role]
+            router = get_router(spec, len(live))
+            if router.n_replicas != len(live):
+                raise ValueError(
+                    f"router built for {router.n_replicas} replicas, "
+                    f"{role} pool has {len(live)}"
+                )
+            router.reset()  # instances passed in must behave like fresh ones
+            pools.append(_Pool(router, live, role, len(live)))
+        return pools
+
     def _apply_autoscale(
         self,
+        pool: _Pool,
         replicas: list[ServingEngine],
-        live: list[int],
-        router: Router,
-        t_arr: float,
+        roles: list,
+        t: float,
         events: list,
         state: _EventState,
-        role: str = "unified",
-        roles: list | None = None,
         protect: frozenset = frozenset(),
     ) -> None:
-        """Grow/retire live replicas toward the policy's target count.
+        """Grow/retire ``pool``'s live replicas toward the policy's target.
 
-        In a disaggregated cluster this runs once per *pool* (``live`` is
-        that pool's replica indices and ``role`` the pool membership new
-        replicas get); ``protect`` shields replicas that look idle but
-        have a KV migration in flight toward them from retirement.
+        Each pool scales on its own queue depths; new replicas join the
+        pool's role. ``protect`` shields replicas that look idle but have
+        a KV migration in flight toward them from retirement.
         """
-        snaps = state.snapshots(live)
-        target = self.autoscale.target(snaps)
+        live = pool.live
+        target = self.autoscale.target(state.snapshots(live))
         while len(live) < target:
-            replicas.append(self._make_engine(role))
-            if roles is not None:
-                roles.append(role)
-            live.append(len(replicas) - 1)
+            j = len(replicas)
+            replicas.append(self._make_engine(pool.role))
+            roles.append(pool.role)
+            live.append(j)
             if self.tracer is not None:
-                replicas[-1].tracer = self.tracer
-                replicas[-1].trace_replica = len(replicas) - 1
-                self.tracer.emit(
-                    t_arr, -1, "autoscale", "", ("scale-up", len(replicas) - 1)
-                )
-            router.resize(len(replicas))
+                replicas[j].tracer = self.tracer
+                replicas[j].trace_replica = j
+                self.tracer.emit(t, -1, "autoscale", "", ("scale-up", j))
+            pool.router.resize(len(replicas))
             state.track_new()
-            events.append((t_arr, "scale-up", len(replicas) - 1))
-        if len(live) > target:
-            # Retire drained replicas only (highest index first): requests
-            # in flight are never migrated.
-            for j in sorted(live, reverse=True):
-                if len(live) <= target:
-                    break
-                if not replicas[j].has_work() and j not in protect:
-                    live.remove(j)
-                    events.append((t_arr, "scale-down", j))
-                    if self.tracer is not None:
-                        self.tracer.emit(
-                            t_arr, -1, "autoscale", "", ("scale-down", j)
-                        )
+            events.append((t, "scale-up", j))
+        # Retire drained replicas only (highest index first): requests in
+        # flight are never migrated.
+        for j in sorted(live, reverse=True):
+            if len(live) <= target:
+                break
+            if not replicas[j].has_work() and j not in protect:
+                live.remove(j)
+                events.append((t, "scale-down", j))
+                if self.tracer is not None:
+                    self.tracer.emit(t, -1, "autoscale", "", ("scale-down", j))
 
-    def _route_and_submit(
-        self,
-        router: Router,
-        replicas: list[ServingEngine],
-        live: list[int],
-        request: Request,
-        assignments: dict[str, int],
-        state: _EventState,
-    ) -> None:
-        """Route one arrival against live snapshots and submit it.
-
-        The shared arrival path of both event loops: snapshot the
-        routable replicas, ask the router, reject out-of-pool answers
-        loudly, record the assignment, enqueue on the chosen engine.
-        """
-        snaps = state.snapshots(live)
-        replica = router.route(request, snaps)
-        if replica not in live:
+    @staticmethod
+    def _route(pool: _Pool, request: Request, state: _EventState) -> int:
+        """Ask ``pool``'s router for a replica against live snapshots;
+        an answer outside the live pool is rejected loudly."""
+        replica = pool.router.route(request, state.snapshots(pool.live))
+        if replica not in pool.live:
             raise ValueError(
-                f"router {router.name!r} returned invalid replica "
-                f"{replica} (live: {live})"
+                f"router {pool.router.name!r} returned invalid {pool.role} "
+                f"replica {replica} (live: {pool.live})"
             )
-        assignments[request.request_id] = replica
-        if self.tracer is not None:
-            self.tracer.emit(
-                request.arrival_s, -1, "route",
-                request.request_id, (replica,),
-            )
-        replicas[replica].submit(request)
-        state.touch(replica)
+        return replica
 
     def _sample_fleet_metrics(
         self,
-        metrics,
         t: float,
         replicas: list[ServingEngine],
-        live: list[int],
-        transfers: list | None = None,
+        pools: list[_Pool],
+        transfers: list,
+        link_busy_until: float,
     ) -> None:
         """Record one fleet-wide gauge sample at virtual time ``t``.
 
         Preemptions are counted over *all* replicas (retired ones keep
-        their history); occupancy gauges read the live set only.
+        their history); occupancy gauges read the live pools only. A
+        disaggregated fleet adds its link gauges.
         """
+        metrics = self.metrics
+        live = [j for pool in pools for j in pool.live]
         n_running = sum(replicas[j].n_running for j in live)
         n_waiting = sum(replicas[j].n_waiting for j in live)
         metrics.gauge("n_running").set(t, n_running)
@@ -996,141 +928,23 @@ class ServingCluster:
         metrics.gauge("step_cache_hit_rate").set(
             t, info["hits"] / lookups if lookups else 0.0
         )
-        if transfers is not None:
+        if len(pools) > 1:
             metrics.gauge("transfers_in_flight").set(t, len(transfers))
-            metrics.gauge("link_busy_s").set(
-                t, max(0.0, self._link_busy_until - t)
-            )
-
-    @staticmethod
-    def _fleet_responses(
-        input_ids: list[str], results: list[ServingResult]
-    ) -> list[Response]:
-        """Responses in original input order, joined across replicas."""
-        by_id = {
-            resp.request_id: resp for res in results for resp in res.responses
-        }
-        return [by_id[rid] for rid in input_ids]
+            metrics.gauge("link_busy_s").set(t, max(0.0, link_busy_until - t))
 
     def run(self, requests) -> FleetResult:
         """Serve ``requests`` through the global virtual-time event loop.
 
-        The loop repeatedly takes the earliest event: the next request
-        arrival (routed immediately against live replica snapshots, ties
-        to the lowest replica index) or the earliest replica step. A
-        replica whose step begins before an arrival executes first — the
-        scheduling decision at that instant cannot see the future — so
-        the whole fleet shares one coherent timeline. Event selection is
-        served from a next-event heap and routing snapshots from a delta
-        cache (see :class:`_EventState`), so each event costs O(log
-        replicas) instead of a linear fleet scan.
+        One loop serves unified and disaggregated fleets alike. The fleet
+        is a list of *pools* (a router over a live replica list): a
+        unified fleet is one arrival pool; a disaggregated one adds a
+        decode pool. Three event types share one virtual timeline,
+        processed earliest first (ties: arrival, then transfer
+        completion, then step, replica ties to the lowest index — a
+        scheduling decision at an instant cannot see the future):
 
-        ``requests`` may be a list (sorted and validated up front, and
-        responses come back in input order) or any other iterable — a
-        generator such as :func:`~repro.serve.workload.iter_workload` or
-        :func:`~repro.serve.workload.stream_trace` is consumed lazily,
-        one arrival at a time, so million-request traces never
-        materialize; streamed input must already be in arrival order and
-        responses come back in stream order.
-
-        A disaggregated cluster (``n_prefill``/``n_decode`` set) adds a
-        third event type — KV-transfer completions — and is dispatched
-        to the pool-aware loop; see the class docstring.
-        """
-        if self.disaggregated:
-            return self._run_disaggregated(requests)
-        router = get_router(self._router_spec, self.n_replicas)
-        if router.n_replicas != self.n_replicas:
-            raise ValueError(
-                f"router built for {router.n_replicas} replicas, "
-                f"cluster has {self.n_replicas}"
-            )
-        router.reset()  # instances passed in must behave like fresh ones
-        materialized = isinstance(requests, (list, tuple))
-        if materialized:
-            input_ids = [r.request_id for r in requests]
-            pending = iter(arrival_order(requests))  # validates dup ids too
-        else:
-            input_ids = []  # filled in stream order as arrivals are drawn
-            pending = _validated_stream(requests)
-        replicas = list(self.engines)  # autoscaling appends; base fleet stays
-        live = list(range(len(replicas)))
-        for engine in replicas:
-            engine.begin_run()
-        assignments: dict[str, int] = {}
-        autoscale_events: list = []
-        state = _EventState(replicas)
-        nxt = next(pending, None)
-        try:
-            while True:
-                t_eng, idx = state.peek()
-                if nxt is not None and (t_eng is None or nxt.arrival_s <= t_eng):
-                    # Arrival event: consult the autoscaler, then route
-                    # against the live fleet at this instant.
-                    request = nxt
-                    nxt = next(pending, None)
-                    if not materialized:
-                        input_ids.append(request.request_id)
-                    if self.autoscale is not None:
-                        self._apply_autoscale(
-                            replicas,
-                            live,
-                            router,
-                            request.arrival_s,
-                            autoscale_events,
-                            state,
-                        )
-                    if self.metrics is not None and self.metrics.due(
-                        request.arrival_s
-                    ):
-                        self._sample_fleet_metrics(
-                            self.metrics, request.arrival_s, replicas, live
-                        )
-                    self._route_and_submit(
-                        router, replicas, live, request, assignments, state
-                    )
-                elif t_eng is not None:
-                    # Step event: advance the replica with the earliest
-                    # next event (ties to the lowest index).
-                    state.pop_head()
-                    replicas[idx].step()
-                    state.touch(idx)
-                else:
-                    break  # no arrivals left, every replica drained
-        finally:
-            for engine in replicas:
-                engine.abort()
-            router.resize(self.n_replicas)  # reusable instance: undo growth
-        # Each replica reports its shard in original input order, exactly
-        # as a standalone engine would (reconciliation at n_replicas=1).
-        shard_ids: list[list[str]] = [[] for _ in range(len(replicas))]
-        for rid in input_ids:
-            shard_ids[assignments[rid]].append(rid)
-        results = [
-            engine.collect_ids(ids) for engine, ids in zip(replicas, shard_ids)
-        ]
-        if self.metrics is not None:
-            t_end = max((e.clock for e in replicas), default=0.0)
-            self._sample_fleet_metrics(self.metrics, t_end, replicas, live)
-            self.metrics.sample_final(t_end)
-        return FleetResult(
-            responses=self._fleet_responses(input_ids, results),
-            replica_results=results,
-            assignments=assignments,
-            router=router.name,
-            scheduler=replicas[0].scheduler.name,
-            autoscale_events=autoscale_events,
-        )
-
-    # -- disaggregated prefill/decode serving ---------------------------
-    def _run_disaggregated(self, requests: list[Request]) -> FleetResult:
-        """The pool-aware event loop: arrivals, steps, and KV transfers.
-
-        Three event types share one virtual timeline, processed earliest
-        first (ties: arrival, then transfer completion, then step — the
-        same decide-without-seeing-the-future rule as the unified loop):
-
-        * **arrival** — routed over the live *prefill* pool snapshots;
+        * **arrival** — the autoscaler is consulted, then the request is
+          routed over the arrival pool's live snapshots and submitted;
         * **transfer completion** — a migrated request reaches its decode
           replica (``import_kv``) and becomes schedulable there;
         * **step** — the earliest replica advances one scheduler
@@ -1143,37 +957,94 @@ class ServingCluster:
           queue behind each other's byte time, while the propagation
           latency pipelines.
 
-        TTFT is decided entirely in the prefill pool (the first token is
-        produced there before export), so interconnect bandwidth moves
-        TPOT and end-to-end latency, never TTFT — the disaggregation
-        property the benchmark asserts.
+        A unified fleet never has a transfer in flight. Event selection
+        is served from a next-event heap and routing snapshots from a
+        delta cache (see :class:`_EventState`), so each event costs
+        O(log replicas) instead of a linear fleet scan. TTFT is decided
+        in the arrival pool (a disaggregated request's first token is
+        produced before export), so interconnect bandwidth moves TPOT and
+        end-to-end latency, never TTFT.
+
+        ``requests`` may be a list (sorted and validated up front, and
+        responses come back in input order) or any other iterable — a
+        generator such as :func:`~repro.serve.workload.iter_workload` or
+        :func:`~repro.serve.workload.stream_trace` is consumed lazily,
+        one arrival at a time, so million-request traces never
+        materialize; streamed input must already be in arrival order and
+        responses come back in stream order.
         """
-        prefill_router = get_router(self._router_spec, self.n_prefill)
-        decode_router = get_router(self._decode_router_spec, self.n_decode)
-        prefill_router.reset()
-        decode_router.reset()
+        pools = self._pools()
+        arrive = pools[0]
+        decode = pools[1] if self.disaggregated else None
         materialized = isinstance(requests, (list, tuple))
         if materialized:
             input_ids = [r.request_id for r in requests]
             pending = iter(arrival_order(requests))  # validates dup ids too
         else:
-            input_ids = []
+            input_ids = []  # filled in stream order as arrivals are drawn
             pending = _validated_stream(requests)
-        replicas = list(self.engines)
+        replicas = list(self.engines)  # autoscaling appends; base fleet stays
         roles = list(self.roles)
-        live_p = [j for j, role in enumerate(roles) if role == "prefill"]
-        live_d = [j for j, role in enumerate(roles) if role == "decode"]
         for engine in replicas:
             engine.begin_run()
         assignments: dict[str, int] = {}
         decode_assignments: dict[str, int] = {}
         autoscale_events: list = []
-        transfer_records: list[dict] = []
+        records: list[dict] = []  # one per KV migration
         transfers: list[tuple] = []  # heap: (t_arrive, seq, dest, handoff, tokens)
-        self._transfer_seq = 0
-        self._link_busy_until = 0.0
-        token_bytes = kv_token_bytes(self.arch, self.recipe)
+        link_busy_until = 0.0
+        token_bytes = (
+            kv_token_bytes(self.arch, self.recipe) if self.disaggregated else 0.0
+        )
+        tracer = self.tracer
         state = _EventState(replicas)
+
+        def start_transfer(rid: str, src: int) -> None:
+            """Export ``rid`` from ``src`` and schedule its arrival event.
+
+            The destination is chosen *now* (bytes have to go somewhere),
+            so the decode router sees pool state at the export instant.
+            Bytes are the migrated context at the recipe's exact
+            per-token KV footprint, minus any full prefix blocks the
+            destination already holds cached — a shared system prompt
+            resident on the decode replica does not cross the wire again.
+            """
+            nonlocal link_busy_until
+            handoff = replicas[src].export_kv(rid)
+            state.touch(src)  # export released pages: src snapshot is stale
+            if self.autoscale is not None:
+                self._apply_autoscale(
+                    decode, replicas, roles, handoff.export_s, autoscale_events,
+                    state, protect=frozenset(tr[2] for tr in transfers),
+                )
+            dest = self._route(decode, handoff.request, state)
+            cached = replicas[dest].kv_cache.cached_prefix_tokens(
+                handoff.request.prefix_id, handoff.request.prefix_len
+            )
+            n_tokens = max(0, handoff.tokens - cached)
+            n_bytes = n_tokens * token_bytes
+            occupancy = self.kv_transfer.occupancy_s(n_bytes)
+            if math.isinf(occupancy):
+                raise RuntimeError(
+                    f"zero-bandwidth interconnect: migrating {n_bytes:.0f} bytes "
+                    f"for request {rid!r} would never complete"
+                )
+            start = max(handoff.export_s, link_busy_until)
+            link_busy_until = start + occupancy
+            t_arrive = start + self.kv_transfer.latency_s + occupancy
+            decode_assignments[rid] = dest
+            heapq.heappush(transfers, (t_arrive, len(records), dest, handoff, n_tokens))
+            records.append({
+                "request_id": rid, "src": src, "dest": dest,
+                "tokens": n_tokens, "bytes": n_bytes,
+                "export_s": handoff.export_s, "start_s": start, "arrive_s": t_arrive,
+            })
+            if tracer is not None:
+                tracer.emit(
+                    handoff.export_s, -1, "transfer", rid,
+                    (src, dest, n_tokens, n_bytes, start, t_arrive),
+                )
+
         nxt = next(pending, None)
         try:
             while True:
@@ -1186,185 +1057,76 @@ class ServingCluster:
                 ):
                     request = nxt
                     nxt = next(pending, None)
+                    t = request.arrival_s
                     if not materialized:
                         input_ids.append(request.request_id)
                     if self.autoscale is not None:
                         self._apply_autoscale(
-                            replicas,
-                            live_p,
-                            prefill_router,
-                            request.arrival_s,
-                            autoscale_events,
-                            state,
-                            role="prefill",
-                            roles=roles,
+                            arrive, replicas, roles, t, autoscale_events, state
                         )
-                    if self.metrics is not None and self.metrics.due(
-                        request.arrival_s
-                    ):
+                    if self.metrics is not None and self.metrics.due(t):
                         self._sample_fleet_metrics(
-                            self.metrics,
-                            request.arrival_s,
-                            replicas,
-                            live_p + live_d,
-                            transfers=transfers,
+                            t, replicas, pools, transfers, link_busy_until
                         )
-                    self._route_and_submit(
-                        prefill_router,
-                        replicas,
-                        live_p,
-                        request,
-                        assignments,
-                        state,
-                    )
+                    replica = self._route(arrive, request, state)
+                    assignments[request.request_id] = replica
+                    if tracer is not None:
+                        tracer.emit(t, -1, "route", request.request_id, (replica,))
+                    replicas[replica].submit(request)
+                    state.touch(replica)
                 elif t_tr is not None and (t_eng is None or t_tr <= t_eng):
                     # Transfer completion: the migrated KV reaches its
                     # decode replica and the request queues there.
-                    t_arrive, _, dest, handoff, n_tokens = heapq.heappop(
-                        transfers
-                    )
+                    t_arrive, _, dest, handoff, n_tokens = heapq.heappop(transfers)
                     replicas[dest].import_kv(
                         handoff, t_arrive, transferred_tokens=n_tokens
                     )
                     state.touch(dest)
                 elif t_eng is not None:
+                    # Step event: advance the replica with the earliest
+                    # next event (ties to the lowest index).
                     state.pop_head()
                     event = replicas[idx].step()
                     state.touch(idx)
                     if event is not None and event.handoff_ready:
                         for rid in event.handoff_ready:
-                            self._start_transfer(
-                                rid,
-                                idx,
-                                replicas,
-                                roles,
-                                live_d,
-                                decode_router,
-                                token_bytes,
-                                transfers,
-                                transfer_records,
-                                decode_assignments,
-                                autoscale_events,
-                                state,
-                            )
+                            start_transfer(rid, idx)
                 else:
                     break  # arrivals and transfers drained, replicas idle
         finally:
             for engine in replicas:
                 engine.abort()
-            prefill_router.resize(self.n_prefill)
-            decode_router.resize(self.n_decode)
+            for pool in pools:  # reusable instances: undo autoscale growth
+                pool.router.resize(pool.base)
         # A request finishes on exactly one replica: its decode replica,
-        # or its prefill replica when max_new_tokens == 1 (nothing left
-        # to generate after the first token — no transfer at all).
+        # or its arrival replica when it never migrated (a unified fleet,
+        # or max_new_tokens == 1). Each replica reports its shard in input
+        # order, exactly as a standalone engine would.
+        shard_ids: list[list[str]] = [[] for _ in replicas]
+        for rid in input_ids:
+            shard_ids[decode_assignments.get(rid, assignments[rid])].append(rid)
         results = [
-            engine.collect_ids(
-                [rid for rid in input_ids if rid in engine.finished]
-            )
-            for engine in replicas
+            engine.collect_ids(ids) for engine, ids in zip(replicas, shard_ids)
         ]
         if self.metrics is not None:
             t_end = max((e.clock for e in replicas), default=0.0)
             self._sample_fleet_metrics(
-                self.metrics, t_end, replicas, live_p + live_d,
-                transfers=transfers,
+                t_end, replicas, pools, transfers, link_busy_until
             )
             self.metrics.sample_final(t_end)
+        by_id = {resp.request_id: resp for res in results for resp in res.responses}
         return FleetResult(
-            responses=self._fleet_responses(input_ids, results),
+            responses=[by_id[rid] for rid in input_ids],
             replica_results=results,
             assignments=assignments,
-            router=prefill_router.name,
+            router=arrive.router.name,
             scheduler=replicas[0].scheduler.name,
             autoscale_events=autoscale_events,
             decode_assignments=decode_assignments,
-            decode_router=decode_router.name,
-            roles=roles,
-            transfers=transfer_records,
+            decode_router=decode.router.name if decode is not None else "",
+            roles=roles if decode is not None else [],
+            transfers=records,
         )
-
-    def _start_transfer(
-        self,
-        rid: str,
-        src: int,
-        replicas: list[ServingEngine],
-        roles: list,
-        live_d: list[int],
-        decode_router: Router,
-        token_bytes: float,
-        transfers: list,
-        records: list[dict],
-        decode_assignments: dict[str, int],
-        autoscale_events: list,
-        state: _EventState,
-    ) -> None:
-        """Export ``rid`` from ``src`` and schedule its arrival event.
-
-        The destination is chosen *now* (bytes have to go somewhere), so
-        the decode router sees pool state at the export instant. Bytes
-        are the migrated context at the recipe's exact per-token KV
-        footprint, minus any full prefix blocks the destination already
-        holds cached — a shared system prompt resident on the decode
-        replica does not cross the wire again.
-        """
-        handoff = replicas[src].export_kv(rid)
-        state.touch(src)  # export released pages: src snapshot is stale
-        if self.autoscale is not None:
-            inflight = frozenset(dest for _, _, dest, _, _ in transfers)
-            self._apply_autoscale(
-                replicas,
-                live_d,
-                decode_router,
-                handoff.export_s,
-                autoscale_events,
-                state,
-                role="decode",
-                roles=roles,
-                protect=inflight,
-            )
-        snaps = state.snapshots(live_d)
-        dest = decode_router.route(handoff.request, snaps)
-        if dest not in live_d:
-            raise ValueError(
-                f"router {decode_router.name!r} returned invalid decode "
-                f"replica {dest} (live: {live_d})"
-            )
-        cached = replicas[dest].kv_cache.cached_prefix_tokens(
-            handoff.request.prefix_id, handoff.request.prefix_len
-        )
-        n_tokens = max(0, handoff.tokens - cached)
-        n_bytes = n_tokens * token_bytes
-        occupancy = self.kv_transfer.occupancy_s(n_bytes)
-        if math.isinf(occupancy):
-            raise RuntimeError(
-                f"zero-bandwidth interconnect: migrating {n_bytes:.0f} bytes "
-                f"for request {rid!r} would never complete"
-            )
-        start = max(handoff.export_s, self._link_busy_until)
-        self._link_busy_until = start + occupancy
-        t_arrive = start + self.kv_transfer.latency_s + occupancy
-        decode_assignments[rid] = dest
-        heapq.heappush(
-            transfers, (t_arrive, self._transfer_seq, dest, handoff, n_tokens)
-        )
-        self._transfer_seq += 1
-        records.append(
-            {
-                "request_id": rid,
-                "src": src,
-                "dest": dest,
-                "tokens": n_tokens,
-                "bytes": n_bytes,
-                "export_s": handoff.export_s,
-                "start_s": start,
-                "arrive_s": t_arrive,
-            }
-        )
-        if self.tracer is not None:
-            self.tracer.emit(
-                handoff.export_s, -1, "transfer", rid,
-                (src, dest, n_tokens, n_bytes, start, t_arrive),
-            )
 
     def run_sharded(
         self,

@@ -12,9 +12,7 @@ recipe as a frozen, validated dataclass and adapts it to every consumer::
     recipe.to_serving_config()  # timing path: repro.gpu.inference
     ServingEngine(arch, recipe) # request-level serving: repro.serve.engine
 
-Named recipes live in a registry (``register_recipe`` / ``get_recipe``)
-that replaces the old hardcoded ``repro.gpu.inference.CONFIGS`` dict;
-``CONFIGS`` remains as a thin deprecated view onto this registry.
+Named recipes live in a registry (``register_recipe`` / ``get_recipe``).
 
 Role fields hold *format names* (strings), not format objects, so recipes
 stay hashable, comparable, and trivially serializable; formats are
@@ -420,7 +418,7 @@ class QuantRecipe:
 
 
 # ----------------------------------------------------------------------
-# recipe registry (replaces repro.gpu.inference.CONFIGS)
+# recipe registry
 # ----------------------------------------------------------------------
 _RECIPES: dict[str, QuantRecipe] = {}
 

@@ -61,11 +61,8 @@ class StepPlan:
     ``prefill`` lists ``(state, rows)`` pairs: ``rows`` not-yet-computed
     prompt tokens of that admitted request to process this step.
     ``decode`` lists the running requests that generate one token this
-    step. ``tag_kinds`` controls whether the engine prices the step with
-    kind-tagged row groups (mixed-batch semantics: chunk and decode
-    attention kernels stay separate) or with legacy untagged groups (the
-    pre-scheduler pricing — required for byte-identical reconciliation
-    of the prefill-first policy).
+    step. The engine prices the step with kind-tagged row groups, so in
+    a mixed step the chunk and decode attention kernels stay separate.
 
     ``notes`` is a policy-chosen annotation tuple of ``(key, value)``
     pairs — free-form plan context (e.g. the chunk budget a chunked
@@ -75,7 +72,6 @@ class StepPlan:
 
     prefill: list = field(default_factory=list)  # [(state, rows), ...]
     decode: list = field(default_factory=list)  # [state, ...]
-    tag_kinds: bool = False
     notes: tuple = ()  # ((key, value), ...) — trace annotations only
 
     @property
@@ -109,9 +105,9 @@ class PrefillFirstScheduler(Scheduler):
     Exact pre-scheduler engine semantics: if any waiting request is
     admitted this instant, the step prefills just those prompts in full
     (running decodes stall); otherwise every running request decodes one
-    token. Pricing uses untagged row groups, so step times — and every
-    committed serving artifact — are byte-identical to the monolithic
-    loop this policy was extracted from.
+    token. A step is never mixed, so step times — and every committed
+    serving artifact — are byte-identical to the monolithic loop this
+    policy was extracted from.
     """
 
     name = "prefill-first"
@@ -170,7 +166,7 @@ class ChunkedPrefillScheduler(Scheduler):
                 ("chunk_budget", self.chunk_tokens),
                 ("chunk_rows", self.chunk_tokens - budget),
             )
-        return StepPlan(prefill=prefill, decode=decode, tag_kinds=True, notes=notes)
+        return StepPlan(prefill=prefill, decode=decode, notes=notes)
 
 
 class DecodePriorityScheduler(Scheduler):

@@ -435,6 +435,33 @@ class TestDisaggCluster:
         assert len(fleet.roles) == len(fleet.replica_results)
         assert all(fleet.roles[e[2]] in ("prefill", "decode") for e in ups)
 
+    def test_prefill_replicas_report_their_work(self):
+        # Every request migrates, so nothing finishes on a prefill
+        # replica; its result must still carry the engine's counters.
+        from repro.serve import chat_workload
+
+        reqs = chat_workload(40, n_prefixes=4, prefix_len=256, seed=3, rate_rps=40.0)
+        cluster = make_cluster(n_prefill=2, n_decode=2, router="prefix-affinity")
+        fleet = cluster.run(reqs)
+        for engine, res in zip(cluster.engines, fleet.replica_results):
+            assert res.n_prefill_steps == engine._n_prefill
+            assert res.n_decode_steps == engine._n_decode
+            assert res.peak_running == engine._peak_running
+            assert res.preemptions == engine._preemptions
+            assert res.makespan_s == engine.clock
+            assert res.kv == engine.kv_cache.stats()
+        for res in fleet.replica_results[:2]:
+            assert not res.responses and res.n_prefill_steps > 0
+            assert res.peak_running > 0 and res.stages.prefill_s > 0
+        assert fleet.peak_running == sum(e._peak_running for e in cluster.engines)
+
+    def test_empty_run_reports_engine_counters(self):
+        engine = ServingEngine(ARCH, "mxfp4+", kv_token_budget=4096)
+        engine.run([Request("a", prompt_len=64, max_new_tokens=2)])
+        empty = engine.run([])
+        assert empty.responses == [] and empty.n_prefill_steps == 0
+        assert empty.kv == engine.kv_cache.stats() != {}
+
 
 # ----------------------------------------------------------------------
 # Cost model: the disaggregated steady state

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.registry import available_formats, get_format, register_format
-from repro.gpu.inference import CONFIGS, ServingConfig, as_serving_config, simulate_inference, step_time
+from repro.gpu.inference import ServingConfig, as_serving_config, simulate_inference, step_time
 from repro.gpu.spec import RTX5090
 from repro.models.zoo import ARCHS, load_model
 from repro.nn.quantize import QuantContext, as_context
@@ -154,25 +154,6 @@ class TestRecipeAdapters:
 
 
 class TestRecipeRegistry:
-    def test_configs_shim_matches_registry(self):
-        for name, cfg in CONFIGS.items():
-            assert cfg == get_recipe(name).to_serving_config()
-
-    def test_configs_shim_is_live(self):
-        from repro.serve.recipe import _RECIPES
-
-        original = get_recipe("mxfp4")
-        try:
-            register_recipe(original.with_(min_tile_m=64), overwrite=True)
-            assert CONFIGS["mxfp4"].min_tile_m == 64
-        finally:
-            _RECIPES["mxfp4"] = original
-        assert CONFIGS["mxfp4"].min_tile_m == 1
-
-    def test_configs_shim_rejects_non_legacy_names(self):
-        with pytest.raises(KeyError, match="get_recipe"):
-            CONFIGS["mxfp6"]  # registered recipe, but not a legacy entry
-
     def test_register_duplicate_raises(self):
         with pytest.raises(ValueError, match="already registered"):
             register_recipe(QuantRecipe("mxfp4", act="mxfp4", weight="mxfp4"))
