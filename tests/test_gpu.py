@@ -288,6 +288,49 @@ class TestStepTimeCacheBounds:
         assert again == self._sweep(cfg, n=8)
         assert step_time_cache_info()["size"] <= 4
 
+    def test_decode_ctxs_match_tagged_decode_rows(self):
+        # The engine's decode shorthand must price exactly as the tagged
+        # rows it stands for, and probe every memo the same way.
+        from repro.serve import get_recipe
+        from repro.gpu.inference import (
+            clear_step_time_cache,
+            set_step_time_cache_limit,
+            step_time,
+            step_time_cache_info,
+        )
+
+        arch = ARCHS["llama-2-7b"]
+        steps = [
+            ([(512, 512, "prefill")], []),  # whole-prompt prefill
+            ([], [300, 301, 300, 512, 301]),  # decode rows sharing contexts
+            ([(64, 256, "prefill"), (0, 9, "prefill"), (32, 256, "prefill")],
+             [256, 256, 400]),  # mixed
+            ([(2, 400, "decode")], [400, 7]),  # merges with a tagged decode group
+            ([(3, 128)], [128]),  # untagged groups never merge with decode rows
+            ([], [100 + i for i in range(20)]),  # wider than the step memo
+            ([], []),
+        ]
+        for name in ("mxfp4+", "mxfp4"):
+            cfg = get_recipe(name)
+            for limit in (1 << 18, 3):  # roomy, then evicting every probe
+                set_step_time_cache_limit(attention=limit)
+                clear_step_time_cache()
+                tagged = [
+                    step_time(
+                        RTX5090, arch, cfg,
+                        groups + [(1, c, "decode") for c in ctxs],
+                    )
+                    for groups, ctxs in steps
+                ]
+                tagged_info = step_time_cache_info()
+                clear_step_time_cache()
+                short = [
+                    step_time(RTX5090, arch, cfg, groups, ctxs)
+                    for groups, ctxs in steps
+                ]
+                assert short == tagged
+                assert step_time_cache_info() == tagged_info
+
     def test_limit_validation(self):
         from repro.gpu.inference import set_step_time_cache_limit
 
