@@ -23,7 +23,7 @@ request-level front-end (continuous batching, TTFT/TPOT) lives in
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -139,7 +139,7 @@ def spread_layer_overrides(
 
 
 def _merge_groups(
-    row_groups: Iterable[tuple], decode_ctxs: Sequence[int] = ()
+    row_groups: Iterable[tuple],
 ) -> tuple[list[tuple[int, int, str]], int]:
     """Merge row groups sharing ``(ctx, kind)`` (order-stable).
 
@@ -151,11 +151,6 @@ def _merge_groups(
     varlen prefill kernel next to a decode kernel), so
     ``[(5, c, "prefill"), (1, c, "decode")]`` is *not* the same step as
     the pure batch ``[(6, c)]`` — and must not share its memo entry.
-
-    ``decode_ctxs`` adds one ``"decode"`` row per entry after
-    ``row_groups``. They are counted per context in C (``Counter`` keeps
-    first-appearance order), so the merge equals appending ``(1, ctx,
-    "decode")`` triples without building and merging a tuple per row.
 
     Returns ``(groups, total_rows)`` so the caller never re-walks the
     merged list just to count rows.
@@ -170,19 +165,7 @@ def _merge_groups(
         key = (group[1], group[2]) if len(group) > 2 else (group[1], "")
         merged[key] = m_get(key, 0) + rows
         total += rows
-    if not decode_ctxs:
-        return [(rows, ctx, kind) for (ctx, kind), rows in merged.items()], total
-    counts = Counter(decode_ctxs)
-    total += len(decode_ctxs)
-    if any(kind == "decode" for _ctx, kind in merged):
-        for ctx, rows in counts.items():
-            key = (ctx, "decode")
-            merged[key] = m_get(key, 0) + rows
-        return [(rows, ctx, kind) for (ctx, kind), rows in merged.items()], total
-    # No decode group to merge into: the decode rows come after the rest.
-    groups = [(rows, ctx, kind) for (ctx, kind), rows in merged.items()]
-    groups += [(rows, ctx, "decode") for ctx, rows in counts.items()]
-    return groups, total
+    return [(rows, ctx, kind) for (ctx, kind), rows in merged.items()], total
 
 
 # Step-time memo: a multi-replica cluster replays the same (spec, arch,
@@ -363,7 +346,6 @@ def step_time(
     arch: ArchSpec,
     cfg,
     row_groups: Sequence[tuple[int, int]],
-    decode_ctxs: Sequence[int] = (),
 ) -> float:
     """Matmul seconds for one scheduler step over ``row_groups``.
 
@@ -380,11 +362,6 @@ def step_time(
     :func:`simulate_inference` totals and
     :class:`repro.serve.ServingEngine` accounting agree exactly.
 
-    ``decode_ctxs`` is a shorthand for decode rows: one context per row,
-    priced exactly as ``(1, ctx, "decode")`` triples appended to
-    ``row_groups``. A serving engine passes its decode batch this way, so
-    hundreds of rows are not each built into a tuple and merged one by one.
-
     Results are memoized on the full (spec, arch, cfg, merged groups)
     key — replicas of a :class:`repro.serve.ServingCluster` that hit the
     same step shape pay the roofline evaluation once. The kind tag is
@@ -398,7 +375,7 @@ def step_time(
     uncached paths accumulate the identical floats in identical order.
     """
     cfg = as_serving_config(cfg)
-    groups, m = _merge_groups(row_groups, decode_ctxs)
+    groups, m = _merge_groups(row_groups)
     if m == 0:
         return 0.0
     spec_key = _spec_key(spec)
@@ -461,32 +438,29 @@ def step_time(
         # layer (the hottest loop in a decode sweep) and the method-call
         # overhead alone is measurable. Semantics are identical —
         # counters, capacity-gated recency refresh, and eviction all
-        # match the methods. Only a miss changes the cache size, so the
-        # at-capacity test is re-evaluated after misses, not per hit.
+        # match the methods.
         att_cache = _ATT_CACHE
         att_data = att_cache.data
-        att_get = att_data.get
         att_cap = att_cache.maxsize
-        full = len(att_data) >= att_cap
-        misses = 0
+        att_hits = 0
         dim = arch.dim
         for rows, ctx, _kind in groups:
             att_key = (att_base, rows, ctx)
-            pair = att_get(att_key)
+            pair = att_data.get(att_key)
             if pair is None:
-                misses += 1
+                att_cache.misses += 1
                 pair = (
                     _time(GemmShape(rows, ctx, dim), layer_kv_fmt),
                     _time(GemmShape(rows, dim, ctx), layer_kv_fmt),
                 )
                 att_cache.put(att_key, pair)
-                full = len(att_data) >= att_cap
-            elif full:
-                att_data.move_to_end(att_key)
+            else:
+                att_hits += 1
+                if len(att_data) >= att_cap:
+                    att_data.move_to_end(att_key)
             layer += pair[0]
             layer += pair[1]
-        att_cache.misses += misses
-        att_cache.hits += len(groups) - misses
+        att_cache.hits += att_hits
         return layer
 
     if cfg.layer_overrides:

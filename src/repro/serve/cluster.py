@@ -872,16 +872,17 @@ class ServingCluster:
             pool.router.resize(len(replicas))
             state.track_new()
             events.append((t, "scale-up", j))
-        # Retire drained replicas only (highest index first): requests in
-        # flight are never migrated.
-        for j in sorted(live, reverse=True):
-            if len(live) <= target:
-                break
-            if not replicas[j].has_work() and j not in protect:
-                live.remove(j)
-                events.append((t, "scale-down", j))
-                if self.tracer is not None:
-                    self.tracer.emit(t, -1, "autoscale", "", ("scale-down", j))
+        if len(live) > target:
+            # Retire drained replicas only (highest index first): requests
+            # in flight are never migrated.
+            for j in sorted(live, reverse=True):
+                if len(live) <= target:
+                    break
+                if not replicas[j].has_work() and j not in protect:
+                    live.remove(j)
+                    events.append((t, "scale-down", j))
+                    if self.tracer is not None:
+                        self.tracer.emit(t, -1, "autoscale", "", ("scale-down", j))
 
     @staticmethod
     def _route(pool: _Pool, request: Request, state: _EventState) -> int:

@@ -794,16 +794,14 @@ class ServingEngine:
                 f"{len(self._waiting)} waiting requests"
             )
 
-        t = step_time(
-            self.spec,
-            self.arch,
-            self.cfg,
-            [
-                (rows, min(s.admit_ctx, s.cached + s.prefilled + rows), "prefill")
-                for s, rows in plan.prefill
-            ],
-            [s.request.prompt_len + s.generated for s in plan.decode],
+        groups = [
+            (rows, min(s.admit_ctx, s.cached + s.prefilled + rows), "prefill")
+            for s, rows in plan.prefill
+        ]
+        groups.extend(
+            (1, s.request.prompt_len + s.generated, "decode") for s in plan.decode
         )
+        t = step_time(self.spec, self.arch, self.cfg, groups)
         self.clock += t
 
         n_prefill_rows = sum(rows for _, rows in plan.prefill)
@@ -842,12 +840,8 @@ class ServingEngine:
                 state.first_token_s = clock
             if state.generated >= state.request.max_new_tokens:
                 done.append(state)
-        if done:
-            # One order-preserving pass instead of a list.remove scan per
-            # finished request (_Active hashes by identity).
-            finished = set(done)
-            self._running[:] = [s for s in self._running if s not in finished]
         for state in done:
+            self._running.remove(state)
             self.kv_cache.free(state.request.request_id)
             self.finished[state.request.request_id] = self._response(state, clock)
             finished_ids.append(state.request.request_id)

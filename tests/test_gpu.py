@@ -288,9 +288,12 @@ class TestStepTimeCacheBounds:
         assert again == self._sweep(cfg, n=8)
         assert step_time_cache_info()["size"] <= 4
 
-    def test_decode_ctxs_match_tagged_decode_rows(self):
-        # The engine's decode shorthand must price exactly as the tagged
-        # rows it stands for, and probe every memo the same way.
+    def test_counted_decode_groups_match_per_row_triples(self):
+        # step_time merges rows sharing (ctx, kind) before pricing, so one
+        # (n, ctx, "decode") triple per context must price exactly as one
+        # (1, ctx, "decode") triple per row and probe every memo the same way.
+        from collections import Counter
+
         from repro.serve import get_recipe
         from repro.gpu.inference import (
             clear_step_time_cache,
@@ -315,21 +318,25 @@ class TestStepTimeCacheBounds:
             for limit in (1 << 18, 3):  # roomy, then evicting every probe
                 set_step_time_cache_limit(attention=limit)
                 clear_step_time_cache()
-                tagged = [
+                per_row = [
                     step_time(
                         RTX5090, arch, cfg,
                         groups + [(1, c, "decode") for c in ctxs],
                     )
                     for groups, ctxs in steps
                 ]
-                tagged_info = step_time_cache_info()
+                per_row_info = step_time_cache_info()
                 clear_step_time_cache()
-                short = [
-                    step_time(RTX5090, arch, cfg, groups, ctxs)
+                counted = [
+                    step_time(
+                        RTX5090, arch, cfg,
+                        groups
+                        + [(n, c, "decode") for c, n in Counter(ctxs).items()],
+                    )
                     for groups, ctxs in steps
                 ]
-                assert short == tagged
-                assert step_time_cache_info() == tagged_info
+                assert counted == per_row
+                assert step_time_cache_info() == per_row_info
 
     def test_limit_validation(self):
         from repro.gpu.inference import set_step_time_cache_limit
