@@ -25,7 +25,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro.gpu.inference import step_time_cache_info
 from repro.models.zoo import ARCHS
 from repro.serve import ServingCluster, make_workload
 
@@ -58,14 +57,15 @@ def main(argv: list[str]) -> int:
     stats = pstats.Stats(profiler, stream=buf)
     stats.sort_stats("cumulative").print_stats(40)
     fleet.summary()  # the metric views a report reads (p99 sorts once)
-    cache = step_time_cache_info()
+    cache = cluster.pricer.cache_info()
     header = (
         f"event loop profile: n={n} requests, {elapsed:.2f}s wall "
         f"(profiled), {len(fleet.responses)} responses, "
         f"{fleet.total_tokens} tokens\n"
         f"probes: sorts_performed={fleet.sorts_performed}, "
-        f"step_time_cache hits={cache['hits']} misses={cache['misses']} "
-        f"size={cache['size']}/{cache['maxsize']}\n\n"
+        f"step pricer memo hits={cache['hits']} misses={cache['misses']} "
+        f"(attention size={cache['attention']['size']}, "
+        f"rows size={cache['rows']['size']})\n\n"
     )
     out.parent.mkdir(exist_ok=True)
     out.write_text(header + buf.getvalue())

@@ -178,7 +178,6 @@ turns the same queue pressure into replicas instead.""")
 # ----------------------------------------------------------------------
 # 6. Observability: virtual-time traces, fleet metrics, Perfetto export.
 # ----------------------------------------------------------------------
-from repro.gpu.inference import clear_step_time_cache
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -198,9 +197,8 @@ def _obs_cluster(tracer, metrics=None):
                           scheduler=SCHED, tracer=tracer, metrics=metrics)
 
 
-# Cold step-time-cache counters make the exported hit-rate series (and
-# hence the trace file) byte-identical across invocations.
-clear_step_time_cache()
+# The step-time-cache hit-rate series reads this fleet's own step pricer,
+# so the exported trace file is byte-identical across invocations.
 traced = _obs_cluster(Tracer(), MetricsRegistry(interval_s=0.5))
 traced.run(obs_reqs)
 events = traced.tracer.events()

@@ -48,7 +48,6 @@ from .report import (
     fmt_value,
     markdown_table,
     render_report,
-    report_sweep,
 )
 from .runner import execute_run, run_sweep
 
@@ -75,7 +74,6 @@ __all__ = [
     "aggregate",
     "canonical_payload",
     "render_report",
-    "report_sweep",
     "dump_payload",
     "fmt_value",
     "markdown_table",

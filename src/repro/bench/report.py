@@ -36,7 +36,6 @@ __all__ = [
     "aggregate",
     "canonical_payload",
     "render_report",
-    "report_sweep",
     "dump_payload",
 ]
 
@@ -321,11 +320,6 @@ def render_report(payload: dict) -> str:
         lines += ["", "## Failures", ""]
         lines += [f"- `{cid}`: {c['error']}" for cid, c in failures.items()]
     return "\n".join(lines) + "\n"
-
-
-def report_sweep(sweep_dir) -> str:
-    """Aggregate a sweep dir and render its markdown report in one call."""
-    return render_report(aggregate(sweep_dir))
 
 
 def dump_payload(payload: dict) -> str:

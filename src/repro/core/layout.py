@@ -184,13 +184,20 @@ def unpack_mxplus(fmt: MXPlusFormat, packed: PackedMXPlus) -> MXPlusEncoded:
     flush = shared_exp == ZERO_BLOCK_SENTINEL
     if flush.any():
         values[flush] = 0.0
+    if reserved.any():  # MX++: the NBM scale sits ``reserved`` below the BM's
+        nbm_shared_exp = np.where(
+            flush, ZERO_BLOCK_SENTINEL, shared_exp - reserved
+        ).astype(np.int32)
+    else:
+        # One scale per block (every MX+ block): hand back ``shared_exp``
+        # itself, which keys ``MXPlusFormat.decode``'s fast path. Flushed
+        # blocks already hold the sentinel, so the values are the same.
+        nbm_shared_exp = shared_exp
     return MXPlusEncoded(
         shared_exp=shared_exp,
         elem_values=values,
         bm_index=bm_index,
         reserved=reserved,
-        nbm_shared_exp=np.where(
-            flush, ZERO_BLOCK_SENTINEL, shared_exp - reserved
-        ).astype(np.int32),
+        nbm_shared_exp=nbm_shared_exp,
         blocked=packed.blocked,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .spec import GPUSpec, format_storage_bits
 
-__all__ = ["GemmShape", "gemm_time", "matmul_breakdown"]
+__all__ = ["GemmShape", "gemm_time"]
 
 #: fixed per-kernel launch/epilogue overhead (seconds)
 KERNEL_OVERHEAD_S = 4e-6
@@ -84,17 +84,3 @@ def gemm_time(
         overhead *= SOFTWARE_MXPLUS_KERNEL_FACTOR
     return max(compute_s, memory_s) + overhead
 
-
-def matmul_breakdown(
-    spec: GPUSpec, shape: GemmShape, a_fmt: str, b_fmt: str
-) -> dict[str, float]:
-    """Compute vs memory seconds (diagnostics for roofline position)."""
-    rate = min(spec.tc_macs_per_s(a_fmt), spec.tc_macs_per_s(b_fmt))
-    bytes_total = (
-        shape.m * shape.k * _storage_bits(a_fmt)
-        + shape.k * shape.n * _storage_bits(b_fmt)
-    ) / 8.0 + shape.m * shape.n * 2.0
-    return {
-        "compute_s": shape.macs / rate,
-        "memory_s": bytes_total / spec.mem_bytes_per_s(),
-    }

@@ -3,7 +3,7 @@
 from .bf16 import bf16_round
 from .functional import cross_entropy, gelu, log_softmax, rmsnorm, silu, softmax
 from .layers import CausalSelfAttention, Embedding, Linear, Module, RMSNorm, SwiGLU
-from .optim import Adam, SGD, clip_grad_norm
+from .optim import Adam, clip_grad_norm
 from .quantize import BASELINE, QuantContext
 from .tensor import Tensor, no_grad
 from .train import train_lm
@@ -26,7 +26,6 @@ __all__ = [
     "CausalSelfAttention",
     "SwiGLU",
     "Adam",
-    "SGD",
     "clip_grad_norm",
     "QuantContext",
     "BASELINE",

@@ -16,7 +16,6 @@ __all__ = [
     "log_softmax",
     "cross_entropy",
     "rmsnorm",
-    "layernorm",
     "gelu",
     "silu",
     "causal_mask",
@@ -50,12 +49,6 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     """Root-mean-square layer norm with learnable per-channel gain."""
     ms = (x * x).mean(axis=-1, keepdims=True)
     return x * (ms + eps).pow(-0.5) * gain
-
-
-def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) * (x - mu)).mean(axis=-1, keepdims=True)
-    return (x - mu) * (var + eps).pow(-0.5) * gain + bias
 
 
 def gelu(x: Tensor) -> Tensor:

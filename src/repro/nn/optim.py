@@ -6,7 +6,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["SGD", "Adam", "clip_grad_norm"]
+__all__ = ["Adam", "clip_grad_norm"]
 
 
 def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
@@ -20,26 +20,6 @@ def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
             if p.grad is not None:
                 p.grad = p.grad * scale
     return total
-
-
-class SGD:
-    def __init__(self, params: list[Tensor], lr: float = 0.1, momentum: float = 0.0):
-        self.params = params
-        self.lr = lr
-        self.momentum = momentum
-        self._vel = [np.zeros_like(p.data) for p in params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._vel):
-            if p.grad is None:
-                continue
-            v *= self.momentum
-            v += p.grad
-            p.data -= self.lr * v
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
 
 
 class Adam:

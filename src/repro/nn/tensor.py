@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "no_grad"]
 
 _GRAD_ENABLED = True
 
@@ -32,10 +32,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
-
-
-def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..gpu.inference import step_time_cache_info
+from ..gpu.inference import StepPricer
 from ..gpu.spec import GPUSpec, RTX5090
 from ..models.zoo import ArchSpec
 from .engine import (
@@ -712,11 +712,9 @@ class ServingCluster:
         tokens, preemptions, replica count, step-time-cache hit rate,
         and — disaggregated — transfers in flight / link busy time) at
         arrival instants, throttled by the registry's ``interval_s``,
-        plus one closing sample at the fleet makespan. Note
-        ``step_cache_hit_rate`` reads the process-global
-        :func:`~repro.gpu.inference.step_time_cache_info` counters, so
-        for byte-identical metrics across two runs in one process call
-        :func:`~repro.gpu.inference.clear_step_time_cache` before each.
+        plus one closing sample at the fleet makespan.
+        ``step_cache_hit_rate`` reads the memo counters of the fleet's
+        own :attr:`pricer`.
     """
 
     def __init__(
@@ -779,6 +777,8 @@ class ServingCluster:
         )
         self.tracer = tracer
         self.metrics = metrics
+        #: The one step pricer every replica shares (autoscaled ones too).
+        self.pricer = StepPricer(spec, arch, recipe)
         self.engines = [self._make_engine(role) for role in self.roles]
         if tracer is not None:
             for i, engine in enumerate(self.engines):
@@ -786,7 +786,7 @@ class ServingCluster:
                 engine.trace_replica = i
 
     def _make_engine(self, role: str = "unified") -> ServingEngine:
-        """One replica: fresh paged cache, shared arch/recipe/GPU."""
+        """One replica: fresh paged cache, shared arch/recipe/GPU/pricer."""
         if self._page_budget_bytes is not None:
             cache = PagedKVCache.from_byte_budget(
                 self._page_budget_bytes,
@@ -815,6 +815,7 @@ class ServingCluster:
             kv_cache=cache,
             scheduler=scheduler,
             role=role,
+            pricer=self.pricer,
         )
 
     @property
@@ -924,7 +925,7 @@ class ServingCluster:
         metrics.gauge("preemptions").set(
             t, sum(e._preemptions for e in replicas)
         )
-        info = step_time_cache_info()
+        info = self.pricer.cache_info()
         lookups = info["hits"] + info["misses"]
         metrics.gauge("step_cache_hit_rate").set(
             t, info["hits"] / lookups if lookups else 0.0

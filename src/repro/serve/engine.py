@@ -34,7 +34,7 @@ recomputing cached prefix tokens in prefill, which lowers their TTFT).
 The legacy flat ``kv_token_budget`` argument is now a shim that builds a
 1-token-per-page cache with identical admission/preemption semantics.
 
-Timing comes from :func:`repro.gpu.inference.step_time` in virtual time —
+Timing comes from a :class:`repro.gpu.inference.StepPricer` in virtual time —
 a uniform batch reconciles exactly with ``simulate_inference`` totals.
 With ``model=`` set (a :class:`repro.nn.transformer.TransformerLM`) the
 engine also runs the real forward under the recipe's ``QuantContext`` and
@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..gpu.inference import StageTimes, as_serving_config, step_time
+from ..gpu.inference import StageTimes, StepPricer
 from ..gpu.spec import GPUSpec, RTX5090
 from ..models.zoo import ArchSpec
 from .kvcache import PagedKVCache
@@ -99,6 +99,15 @@ __all__ = [
 #: migration); ``"decode"`` additionally accepts migrated requests via
 #: `import_kv` and generates their remaining tokens without re-prefill.
 ENGINE_ROLES = ("unified", "prefill", "decode")
+
+
+def step_time(pricer: StepPricer, row_groups: list[tuple]) -> float:
+    """Seconds for one engine step: ``pricer.price(row_groups)``.
+
+    Every engine step prices through this one module-level name, so a
+    profiler can time step pricing by wrapping a single binding.
+    """
+    return pricer.price(row_groups)
 
 
 @dataclass(frozen=True)
@@ -464,6 +473,12 @@ class ServingEngine:
         cluster assigns; 0 standalone). Every instrumentation site is a
         single ``if tracer is not None`` — an untraced run's results
         are bit-identical.
+    pricer:
+        The :class:`~repro.gpu.inference.StepPricer` that prices each
+        step; it must price ``(spec, arch, recipe)``. ``None`` (default)
+        builds one for this engine; a
+        :class:`~repro.serve.ServingCluster` hands one pricer to all of
+        its replicas so they share its memos.
     """
 
     def __init__(
@@ -478,6 +493,7 @@ class ServingEngine:
         scheduler="prefill-first",
         role: str = "unified",
         tracer=None,
+        pricer: StepPricer | None = None,
     ) -> None:
         if isinstance(recipe, str):
             recipe = QuantRecipe.from_name(recipe)
@@ -494,7 +510,7 @@ class ServingEngine:
         self.arch = arch
         self.recipe = recipe
         self.spec = spec
-        self.cfg = as_serving_config(recipe)
+        self.pricer = pricer if pricer is not None else StepPricer(spec, arch, recipe)
         self.kv_cache = kv_cache
         self.kv_token_budget = kv_cache.capacity_tokens
         self.max_batch = max_batch
@@ -763,7 +779,7 @@ class ServingEngine:
 
         Jumps the clock over idle gaps, asks the scheduler to compose
         the step (admission happens inside the scheduler's plan), prices
-        it with :func:`repro.gpu.inference.step_time`, and applies the
+        it with :func:`step_time` over the engine's pricer, and applies the
         results: prefill progress, decode growth (with overflow
         preemption), completions.
         """
@@ -801,7 +817,7 @@ class ServingEngine:
         groups.extend(
             (1, s.request.prompt_len + s.generated, "decode") for s in plan.decode
         )
-        t = step_time(self.spec, self.arch, self.cfg, groups)
+        t = step_time(self.pricer, groups)
         self.clock += t
 
         n_prefill_rows = sum(rows for _, rows in plan.prefill)

@@ -359,7 +359,7 @@ class QuantRecipe:
 
         ``kv="auto"`` is passed through as the empty ``kv_fmt`` sentinel
         (not eagerly resolved to the base activation format) so that
-        ``step_time`` can let an overridden layer's attention operands
+        the step pricer can let an overridden layer's attention operands
         follow that layer's own format — mirroring :meth:`to_context`.
         """
         from ..gpu.inference import ServingConfig

@@ -20,7 +20,7 @@ Three policies ship in the registry (``SCHEDULERS``):
   the pending chunks with *all* ready decode rows in one mixed batch.
   Decodes never stall behind a long prompt, so tail TTFT/TPOT improve at
   a small per-step cost (the mixed batch prices the chunk and decode
-  attention kernels separately — see ``gpu.inference.step_time``).
+  attention kernels separately — see ``gpu.inference.StepPricer``).
 * ``"decode-priority"`` — the opposite extreme: running decodes are
   never interrupted; new requests are admitted (and prefilled in full)
   only once no admitted request has a decode ready. Models static-batch

@@ -4,7 +4,7 @@ A candidate recipe's serving cost has two coupled components, and this
 module composes exactly the two primitives the serving stack already
 trusts:
 
-* **step time** — :func:`repro.gpu.inference.step_time`, the roofline
+* **step time** — :class:`repro.gpu.inference.StepPricer`, the roofline
   matmul model behind ``ServingEngine``/``ServingCluster`` (mixed-precision
   ``layer_overrides`` included);
 * **KV footprint** — :func:`repro.serve.kvcache.kv_token_bytes`, the
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..gpu.inference import step_time
+from ..gpu.inference import StepPricer
 from ..gpu.spec import GPUSpec, RTX5090
 from ..models.zoo import ArchSpec
 from ..serve.kvcache import KVTransfer, kv_token_bytes
@@ -97,7 +97,7 @@ class CostModel:
       policies run the same dedicated-step mix);
     * ``"chunked-prefill"`` prices the Sarathi-style steady state: every
       decode step also carries the batch's incoming prompt rows as a
-      tagged chunk, priced by ``step_time``'s mixed-batch path (chunk and
+      tagged chunk, priced by the step pricer's mixed-batch path (chunk and
       decode attention kernels separate).
 
     ``disaggregated=True`` prices the **decode pool of a disaggregated
@@ -156,15 +156,9 @@ class CostModel:
         recipe = self._coerce(recipe)
         concurrency = self.concurrency(recipe)
         mid_ctx = self.prompt_len + self.output_len // 2
-        decode = step_time(
-            self.spec, self.arch, recipe, [(concurrency, mid_ctx)]
-        )
-        prefill = step_time(
-            self.spec,
-            self.arch,
-            recipe,
-            [(concurrency * self.prompt_len, self.prompt_len)],
-        )
+        pricer = StepPricer(self.spec, self.arch, recipe)
+        decode = pricer.price([(concurrency, mid_ctx)])
+        prefill = pricer.price([(concurrency * self.prompt_len, self.prompt_len)])
         kv_bytes = kv_token_bytes(self.arch, recipe)
         if self.disaggregated:
             # Decode-pool steady state: prefill is someone else's problem,
@@ -200,14 +194,11 @@ class CostModel:
             # tagged chunk — the mixed-batch price replaces the dedicated
             # prefill step entirely.
             chunk_rows = -(-concurrency * self.prompt_len // self.output_len)
-            per_token = step_time(
-                self.spec,
-                self.arch,
-                recipe,
+            per_token = pricer.price(
                 [
                     (concurrency, mid_ctx, "decode"),
                     (chunk_rows, self.prompt_len, "prefill"),
-                ],
+                ]
             )
         else:
             per_token = decode + prefill / self.output_len

@@ -4,11 +4,13 @@ fleet metrics, single-replica reconciliation, and the step-time cache."""
 import pytest
 
 from repro.gpu.inference import (
+    StepPricer,
     clear_step_time_cache,
     step_time_cache_info,
 )
 from repro.models.zoo import ARCHS
 from repro.serve import (
+    AutoscalePolicy,
     LeastKVLoadRouter,
     PrefixAffinityRouter,
     Request,
@@ -186,30 +188,50 @@ class TestMetricViewCaching:
 
 class TestStepTimeCache:
     def test_replicas_share_step_times(self):
-        clear_step_time_cache()
-        reqs = _requests(8, prompt=64, out=4)
-        ServingCluster(ARCH, "mxfp4", n_replicas=4, router="round-robin",
-                       kv_token_budget=16_384).run(reqs)
-        info = step_time_cache_info()
-        # 4 identical replicas: at least 3/4 of step evaluations are hits.
+        cluster = ServingCluster(ARCH, "mxfp4", n_replicas=4, router="round-robin",
+                                 kv_token_budget=16_384)
+        cluster.run(_requests(8, prompt=64, out=4))
+        assert all(e.pricer is cluster.pricer for e in cluster.engines)
+        info = cluster.pricer.cache_info()
+        # 4 identical replicas: at least 3/4 of the memo probes are hits.
         assert info["hits"] >= 3 * info["misses"]
 
+    def test_autoscaled_replicas_share_the_pricer(self):
+        reqs = make_workload(24, seed=2, rate_rps=2000.0,
+                             arrival="bursty", burst_size=24)
+        cluster = ServingCluster(
+            ARCH, "mxfp4", n_replicas=1, kv_token_budget=8192,
+            autoscale=AutoscalePolicy(max_replicas=4, scale_up_queue_depth=3,
+                                      scale_down=False),
+        )
+        made = []
+        make_engine = cluster._make_engine
+
+        def record(role="unified"):
+            made.append(make_engine(role))
+            return made[-1]
+
+        cluster._make_engine = record
+        assert cluster.run(reqs).n_replicas > 1
+        assert made and all(e.pricer is cluster.pricer for e in made)
+
     def test_cache_transparent(self):
-        from repro.gpu.inference import step_time
         from repro.gpu.spec import RTX5090
         from repro.serve import get_recipe
 
-        clear_step_time_cache()
-        cfg = get_recipe("mxfp4")
-        first = step_time(RTX5090, ARCH, cfg, [(8, 64)])
-        again = step_time(RTX5090, ARCH, cfg, [(8, 64)])
+        pricer = StepPricer(RTX5090, ARCH, get_recipe("mxfp4"))
+        first = pricer.price([(8, 64)])
+        again = pricer.price([(8, 64)])
         assert first == again
-        assert step_time_cache_info()["hits"] == 1
+        assert pricer.cache_info()["hits"] == 2  # rows + attention
+        assert step_time_cache_info()["hits"] >= 2  # totals see live pricers
         clear_step_time_cache()
-        info = step_time_cache_info()
-        assert (info["hits"], info["misses"], info["size"]) == (0, 0, 0)
-        # the sub-memos (attention pairs, row-count stacks) reset too
+        # the process-wide reset zeroes counters, not memoized prices
+        info = pricer.cache_info()
+        assert (info["hits"], info["misses"]) == (0, 0)
+        assert (info["attention"]["size"], info["rows"]["size"]) == (1, 1)
+        totals = step_time_cache_info()
+        assert (totals["hits"], totals["misses"]) == (0, 0)
         for sub in ("attention", "rows"):
-            assert (info[sub]["hits"], info[sub]["misses"], info[sub]["size"]) == (
-                0, 0, 0,
-            )
+            assert (totals[sub]["hits"], totals[sub]["misses"]) == (0, 0)
+        assert pricer.price([(8, 64)]) == first

@@ -8,7 +8,7 @@ from repro.gpu.area import MXPLUS_COMPONENTS, scale_to_node, tensor_core_overhea
 from repro.gpu.convert import converted_matmul_time, table4_row
 from repro.gpu.hardware import DPECycleModel, dpe_block_dot, lane_view, tensor_core_matmul
 from repro.gpu.inference import end_to_end_speedup, simulate_inference
-from repro.gpu.kernels import GemmShape, gemm_time, matmul_breakdown
+from repro.gpu.kernels import GemmShape, gemm_time
 from repro.gpu.spec import RTX5090, RTXA6000
 from repro.gpu.systolic import SystolicArray
 from repro.models.zoo import ARCHS
@@ -29,16 +29,6 @@ class TestSpec:
 
 
 class TestGemmTime:
-    def test_compute_bound_large(self):
-        shape = GemmShape(4096, 4096, 4096)
-        b = matmul_breakdown(RTX5090, shape, "mxfp4", "mxfp4")
-        assert b["compute_s"] > b["memory_s"]
-
-    def test_memory_bound_decode(self):
-        shape = GemmShape(4, 4096, 4096)
-        b = matmul_breakdown(RTX5090, shape, "mxfp4", "mxfp4")
-        assert b["memory_s"] > b["compute_s"]
-
     def test_software_mxplus_prefill_cost(self):
         shape = GemmShape(4096, 4096, 4096)
         base = gemm_time(RTX5090, shape, "mxfp4", "mxfp4")
@@ -202,107 +192,76 @@ class TestConversion:
 
 
 class TestStepTimeCacheBounds:
-    """The step-time memos are size-capped LRUs: eviction must only ever
-    cost a recomputation, never change a value, and the counters must
-    report faithfully."""
+    """A step pricer's memos are capped and cleared whole past the cap:
+    clearing must only ever cost a recomputation, never change a value,
+    and the counters must report faithfully."""
 
-    def setup_method(self):
-        from repro.gpu.inference import clear_step_time_cache
+    ARCH = ARCHS["llama-2-7b"]
 
-        clear_step_time_cache()
+    def _pricer(self, name):
+        from repro.gpu.inference import StepPricer
+        from repro.serve import get_recipe
 
-    def teardown_method(self):
-        from repro.gpu.inference import (
-            clear_step_time_cache,
-            set_step_time_cache_limit,
-        )
+        return StepPricer(RTX5090, self.ARCH, get_recipe(name))
 
-        set_step_time_cache_limit(step=1 << 16, attention=1 << 18, rows=1 << 14)
-        clear_step_time_cache()
-
-    def _sweep(self, cfg, n=24):
-        from repro.gpu.inference import step_time
-
-        arch = ARCHS["llama-2-7b"]
+    def _sweep(self, pricer, n=24):
         return [
-            step_time(RTX5090, arch, cfg, [(1, 128 + 16 * i), (1, 96 + 8 * i)])
-            for i in range(n)
+            pricer.price([(1, 128 + 16 * i), (1, 96 + 8 * i)]) for i in range(n)
         ]
 
-    def test_eviction_never_changes_values(self):
-        from repro.serve import get_recipe
-        from repro.gpu.inference import (
-            clear_step_time_cache,
-            set_step_time_cache_limit,
-            step_time_cache_info,
-        )
+    def test_eviction_never_changes_values(self, monkeypatch):
+        import repro.gpu.inference as inference
 
-        cfg = get_recipe("mxfp4+")
-        unbounded = self._sweep(cfg)
-        clear_step_time_cache()
-        # Tiny caps: every probe evicts something, values must not move.
-        set_step_time_cache_limit(step=2, attention=3, rows=2)
-        bounded = self._sweep(cfg)
+        unbounded = self._sweep(self._pricer("mxfp4+"))
+        # Tiny caps: the memos are cleared over and over; values must not move.
+        monkeypatch.setattr(inference, "ROWS_MEMO_CAP", 2)
+        monkeypatch.setattr(inference, "ATTENTION_MEMO_CAP", 3)
+        pricer = self._pricer("mxfp4+")
+        bounded = self._sweep(pricer)
         assert bounded == unbounded
-        info = step_time_cache_info()
-        assert info["size"] <= 2
+        info = pricer.cache_info()
         assert info["attention"]["size"] <= 3
         assert info["rows"]["size"] <= 2
 
     def test_cache_info_reports_hits_misses_size(self):
-        from repro.serve import get_recipe
-        from repro.gpu.inference import step_time, step_time_cache_info
-
-        cfg = get_recipe("mxfp4")
-        arch = ARCHS["llama-2-7b"]
-        step_time(RTX5090, arch, cfg, [(4, 256)])
-        step_time(RTX5090, arch, cfg, [(4, 256)])
-        info = step_time_cache_info()
-        assert (info["hits"], info["misses"], info["size"]) == (1, 1, 1)
+        pricer = self._pricer("mxfp4")
+        pricer.price([(4, 256)])
+        pricer.price([(4, 256)])
+        info = pricer.cache_info()
+        assert (info["hits"], info["misses"]) == (2, 2)
         for sub in ("attention", "rows"):
-            assert set(info[sub]) >= {"hits", "misses", "size", "maxsize"}
-            assert info[sub]["size"] <= info[sub]["maxsize"]
+            assert (info[sub]["hits"], info[sub]["misses"], info[sub]["size"]) == (
+                1, 1, 1,
+            )
         # hit rate is derivable and sane
         assert 0.0 <= info["hits"] / (info["hits"] + info["misses"]) <= 1.0
 
-    def test_clear_resets_under_new_bound(self):
-        from repro.serve import get_recipe
-        from repro.gpu.inference import (
-            clear_step_time_cache,
-            set_step_time_cache_limit,
-            step_time_cache_info,
-        )
+    def test_clear_resets_under_new_bound(self, monkeypatch):
+        import repro.gpu.inference as inference
+        from repro.gpu.inference import clear_step_time_cache
 
-        cfg = get_recipe("mxfp4+")
-        set_step_time_cache_limit(step=4, attention=8, rows=4)
-        self._sweep(cfg, n=8)
+        monkeypatch.setattr(inference, "ROWS_MEMO_CAP", 4)
+        monkeypatch.setattr(inference, "ATTENTION_MEMO_CAP", 8)
+        pricer = self._pricer("mxfp4+")
+        first = self._sweep(pricer, n=8)
         clear_step_time_cache()
-        info = step_time_cache_info()
-        assert (info["hits"], info["misses"], info["size"]) == (0, 0, 0)
+        info = pricer.cache_info()
+        assert (info["hits"], info["misses"]) == (0, 0)
         for sub in ("attention", "rows"):
-            assert (info[sub]["hits"], info[sub]["misses"], info[sub]["size"]) == (
-                0, 0, 0,
-            )
-        # the re-bound caps survive the clear and still enforce
-        again = self._sweep(cfg, n=8)
-        assert again == self._sweep(cfg, n=8)
-        assert step_time_cache_info()["size"] <= 4
+            assert (info[sub]["hits"], info[sub]["misses"]) == (0, 0)
+        # the caps survive the reset and still enforce; values never move
+        assert self._sweep(pricer, n=8) == first
+        info = pricer.cache_info()
+        assert info["rows"]["size"] <= 4 and info["attention"]["size"] <= 8
 
-    def test_counted_decode_groups_match_per_row_triples(self):
-        # step_time merges rows sharing (ctx, kind) before pricing, so one
+    def test_counted_decode_groups_match_per_row_triples(self, monkeypatch):
+        # The pricer merges rows sharing (ctx, kind) before pricing, so one
         # (n, ctx, "decode") triple per context must price exactly as one
         # (1, ctx, "decode") triple per row and probe every memo the same way.
         from collections import Counter
 
-        from repro.serve import get_recipe
-        from repro.gpu.inference import (
-            clear_step_time_cache,
-            set_step_time_cache_limit,
-            step_time,
-            step_time_cache_info,
-        )
+        import repro.gpu.inference as inference
 
-        arch = ARCHS["llama-2-7b"]
         steps = [
             ([(512, 512, "prefill")], []),  # whole-prompt prefill
             ([], [300, 301, 300, 512, 301]),  # decode rows sharing contexts
@@ -310,36 +269,23 @@ class TestStepTimeCacheBounds:
              [256, 256, 400]),  # mixed
             ([(2, 400, "decode")], [400, 7]),  # merges with a tagged decode group
             ([(3, 128)], [128]),  # untagged groups never merge with decode rows
-            ([], [100 + i for i in range(20)]),  # wider than the step memo
+            ([], [100 + i for i in range(20)]),  # a wide decode step
             ([], []),
         ]
         for name in ("mxfp4+", "mxfp4"):
-            cfg = get_recipe(name)
-            for limit in (1 << 18, 3):  # roomy, then evicting every probe
-                set_step_time_cache_limit(attention=limit)
-                clear_step_time_cache()
+            for limit in (1 << 18, 3):  # roomy, then clearing on most misses
+                monkeypatch.setattr(inference, "ATTENTION_MEMO_CAP", limit)
+                per_row_pricer = self._pricer(name)
                 per_row = [
-                    step_time(
-                        RTX5090, arch, cfg,
-                        groups + [(1, c, "decode") for c in ctxs],
-                    )
+                    per_row_pricer.price(groups + [(1, c, "decode") for c in ctxs])
                     for groups, ctxs in steps
                 ]
-                per_row_info = step_time_cache_info()
-                clear_step_time_cache()
+                counted_pricer = self._pricer(name)
                 counted = [
-                    step_time(
-                        RTX5090, arch, cfg,
-                        groups
-                        + [(n, c, "decode") for c, n in Counter(ctxs).items()],
+                    counted_pricer.price(
+                        groups + [(n, c, "decode") for c, n in Counter(ctxs).items()]
                     )
                     for groups, ctxs in steps
                 ]
                 assert counted == per_row
-                assert step_time_cache_info() == per_row_info
-
-    def test_limit_validation(self):
-        from repro.gpu.inference import set_step_time_cache_limit
-
-        with pytest.raises(ValueError, match=">= 1"):
-            set_step_time_cache_limit(step=0)
+                assert counted_pricer.cache_info() == per_row_pricer.cache_info()

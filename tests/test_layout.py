@@ -81,6 +81,29 @@ class TestMXPlusPacking:
         enc2 = unpack_mxplus(fmt, packed)
         assert_same_bits(fmt.decode(enc2), fmt.decode(enc))
 
+    @pytest.mark.parametrize(
+        "factory", [MXFP4Plus, MXFP6Plus, MXFP8Plus], ids=["4+", "6+", "8+"]
+    )
+    def test_unpack_keeps_the_one_scale_fast_path(self, factory):
+        # MX+ blocks share one scale: unpack hands back shared_exp itself
+        # (flushed blocks included), so decode skips the BM/NBM select.
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((3, 64)) * 4.0
+        x[1, :32] = 2.0**-130  # one flushed block
+        fmt = factory()
+        enc = fmt.encode(x)
+        enc2 = unpack_mxplus(fmt, pack_mxplus(fmt, enc))
+        assert enc2.nbm_shared_exp is enc2.shared_exp
+        assert_same_bits(fmt.decode(enc2), fmt.decode(enc))
+
+    def test_unpack_mxpp_keeps_its_nbm_scales(self):
+        fmt = MXFP4PlusPlus()
+        enc = fmt.encode(FIG4_UPPER_BF16)  # delta 3 (Section 4.3 example)
+        enc2 = unpack_mxplus(fmt, pack_mxplus(fmt, enc))
+        assert enc2.nbm_shared_exp is not enc2.shared_exp
+        np.testing.assert_array_equal(enc2.nbm_shared_exp, enc.nbm_shared_exp)
+        assert_same_bits(fmt.decode(enc2), fmt.decode(enc))
+
     def test_k64_bm_index_above_31(self):
         # 64-element blocks need a 6-bit BM index (2 reserved bits left).
         fmt = MXFP4PlusK64()

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.gpu.inference import clear_step_time_cache, step_time_cache_info
+from repro.gpu.inference import step_time_cache_info
 from repro.models.zoo import ARCHS
 from repro.obs import (
     FlightRecorder,
@@ -109,12 +109,20 @@ class TestNonPerturbation:
         )
 
     def test_cache_probes(self):
-        fleet = _cluster().run(make_workload(6, seed=0, rate_rps=50.0))
+        cluster = _cluster()
+        fleet_pricer = cluster.pricer
+        fleet = cluster.run(make_workload(6, seed=0, rate_rps=50.0))
         assert "probes" not in fleet.summary()
         assert fleet.sorts_performed == 1  # summary's p99 sorted ttft once
         fleet.summary()
         assert fleet.sorts_performed == 1
-        assert {"hits", "misses"} <= set(step_time_cache_info())
+        # the fleet's own pricer counts its memo probes; the process-wide
+        # totals include it
+        own = fleet_pricer.cache_info()
+        assert own["hits"] + own["misses"] > 0
+        totals = step_time_cache_info()
+        assert {"hits", "misses", "attention", "rows"} <= set(totals)
+        assert totals["hits"] >= own["hits"] and totals["misses"] >= own["misses"]
 
 
 class TestShardMergeDeterminism:
@@ -149,10 +157,6 @@ class TestExportByteIdentity:
         reqs = make_workload(20, seed=5, rate_rps=100.0)
         paths = []
         for name in ("a.json", "b.json"):
-            # The step-time memo is process-global; its hit-rate series
-            # is the only history-dependent metric, so byte identity
-            # requires starting each run from cold counters.
-            clear_step_time_cache()
             cluster = _cluster(traced=True)
             cluster.run(reqs)
             path = tmp_path / name

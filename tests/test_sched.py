@@ -4,11 +4,7 @@ x shared-prefix interaction, live-state routers, and autoscaling."""
 
 import pytest
 
-from repro.gpu.inference import (
-    clear_step_time_cache,
-    step_time,
-    step_time_cache_info,
-)
+from repro.gpu.inference import StepPricer
 from repro.gpu.spec import RTX5090
 from repro.models.zoo import ARCHS
 from repro.serve import (
@@ -318,34 +314,37 @@ class TestPreemptionPrefixInteraction:
 
 
 class TestMixedBatchStepTime:
-    """Satellite: mixed-batch memo keys cannot collide with pure-decode
-    keys, and cached results equal the cold path exactly."""
+    """Groups of different kinds never merge into one priced attention
+    kernel, and memoized prices equal the cold path exactly."""
 
     CFG = "mxfp4+"
 
+    def _pricer(self):
+        return StepPricer(RTX5090, ARCH, get_recipe(self.CFG))
+
     def test_tagged_kinds_do_not_merge(self):
-        cfg = get_recipe(self.CFG)
-        clear_step_time_cache()
-        pure = step_time(RTX5090, ARCH, cfg, [(6, 100)])
-        mixed = step_time(RTX5090, ARCH, cfg, [(5, 100, "prefill"), (1, 100, "decode")])
+        pricer = self._pricer()
+        pure = pricer.price([(6, 100)])
+        mixed = pricer.price([(5, 100, "prefill"), (1, 100, "decode")])
         # Separate chunk/decode attention kernels cost more than the one
-        # merged GEMM — distinct values prove distinct cache entries.
+        # merged GEMM: the mixed step probes (5, 100) and (1, 100), never
+        # the merged (6, 100) entry of the pure step.
         assert mixed > pure
-        info = step_time_cache_info()
-        assert info["misses"] == 2 and info["hits"] == 0
+        att = pricer.cache_info()["attention"]
+        assert (att["hits"], att["misses"], att["size"]) == (0, 3, 3)
 
     def test_untagged_groups_still_merge(self):
-        cfg = get_recipe(self.CFG)
-        clear_step_time_cache()
-        merged = step_time(RTX5090, ARCH, cfg, [(6, 100)])
-        split = step_time(RTX5090, ARCH, cfg, [(5, 100), (1, 100)])
+        pricer = self._pricer()
+        merged = pricer.price([(6, 100)])
+        split = pricer.price([(5, 100), (1, 100)])
         assert split == merged
-        info = step_time_cache_info()
-        # whole-step memo: equal merged signatures share one entry
-        assert (info["hits"], info["misses"], info["size"]) == (1, 1, 1)
+        # equal merged signatures share every entry: the second step is
+        # all hits (one rows probe, one attention probe)
+        info = pricer.cache_info()
+        assert (info["hits"], info["misses"]) == (2, 2)
+        assert info["attention"]["size"] == info["rows"]["size"] == 1
 
     def test_cache_matches_cold_path(self):
-        cfg = get_recipe(self.CFG)
         batches = [
             [(8, 64)],
             [(8, 64, "prefill")],
@@ -353,24 +352,26 @@ class TestMixedBatchStepTime:
             [(8, 64, "prefill"), (3, 64, "decode"), (2, 96, "decode")],
             [(1, 33), (1, 65), (256, 512, "prefill")],
         ]
-        clear_step_time_cache()
-        warm = [step_time(RTX5090, ARCH, cfg, b) for b in batches]
-        cached = [step_time(RTX5090, ARCH, cfg, b) for b in batches]
+        pricer = self._pricer()
+        warm = [pricer.price(b) for b in batches]
+        cached = [pricer.price(b) for b in batches]
         assert cached == warm
-        assert step_time_cache_info()["hits"] >= len(batches)
-        clear_step_time_cache()
-        cold = [step_time(RTX5090, ARCH, cfg, b) for b in batches]
+        info = pricer.cache_info()
+        # the second pass is all hits: one rows probe per step plus one
+        # attention probe per merged group
+        assert info["hits"] >= len(batches) + 8
+        cold = [self._pricer().price(b) for b in batches]
         assert cold == warm
 
     def test_kind_tag_alone_separates_entries(self):
-        cfg = get_recipe(self.CFG)
-        clear_step_time_cache()
-        step_time(RTX5090, ARCH, cfg, [(4, 128, "prefill")])
-        step_time(RTX5090, ARCH, cfg, [(4, 128, "decode")])
-        step_time(RTX5090, ARCH, cfg, [(4, 128)])
-        # Same shape, three kinds: three distinct memo entries (values
-        # happen to be equal — only the *keys* must not collide).
-        assert step_time_cache_info()["size"] == 3
+        pricer = self._pricer()
+        tagged = pricer.price([(4, 128, "prefill"), (4, 128, "decode"), (4, 128)])
+        # Same shape, three kinds: three attention kernels priced (the
+        # gemm shape is the same, so they share one memo entry), never one
+        # merged (12, 128) kernel.
+        att = pricer.cache_info()["attention"]
+        assert (att["hits"], att["misses"]) == (2, 1)
+        assert tagged != pricer.price([(12, 128)])
 
 
 class TestClusterSchedulers:
