@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .blocks import BlockFormat, from_blocks, to_blocks
-from .elem import floor_log2, round_half_even
+from .elem import IntCodec
+from .mx import MXFormat
 
 __all__ = ["MSFPFormat", "MSFP12", "MSFP14", "MSFP16"]
 
@@ -25,18 +26,18 @@ class MSFPFormat(BlockFormat):
         self.mantissa_bits = mantissa_bits
         self.block_size = block_size
         self.name = name or f"msfp{mantissa_bits + 1 + 8}"
+        # The shared exponent is the BM's own (e_max = 0), and a BM in
+        # [2^e, 2^(e+1)) must fit in mantissa_bits with no implicit bit, so
+        # the grid is sign + mantissa_bits of fixed point with
+        # mantissa_bits - 1 fraction bits: MX rounding over an IntCodec.
+        elem = IntCodec(f"int{mantissa_bits + 1}", mantissa_bits + 1, mantissa_bits - 1)
+        self._mx = MXFormat(elem, block_size, self.name)
 
     def quantize_dequantize(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
         blocked = to_blocks(x, self.block_size, axis)
         data = blocked.data
-        amax = np.max(np.abs(data), axis=-1)
-        shared_exp = np.clip(floor_log2(amax), -127, 127)
-        # Mantissa ulp: the BM (in [2^e, 2^(e+1))) must fit in mantissa_bits
-        # with no implicit bit, so the ulp is 2^(e + 1 - mbits).
-        ulp = np.exp2(shared_exp.astype(np.float64) + 1 - self.mantissa_bits)[..., None]
-        max_code = (1 << self.mantissa_bits) - 1
-        q = np.clip(round_half_even(data / ulp), -max_code, max_code)
-        out = np.where(amax[..., None] == 0, 0.0, q * ulp)
+        out = self._mx._round(data)[0]
+        out[~data.any(axis=-1)] = 0.0  # all-zero blocks come back as +0.0
         return from_blocks(blocked, out)
 
     def bits_per_element(self) -> float:

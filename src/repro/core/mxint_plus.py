@@ -13,39 +13,30 @@ from __future__ import annotations
 import numpy as np
 
 from .blocks import BlockFormat, from_blocks, to_blocks
-from .elem import floor_log2, round_half_even
-from .scale import E8M0_MAX, E8M0_MIN
+from .elem import IntCodec
+from .mx import MXFormat
+from .mxplus import quantize_bm
 
 __all__ = ["MXIntFormat", "MXIntPlusFormat", "MXINT4", "MXINT4Plus", "MXINT8PlusFormat"]
 
 
 class MXIntFormat(BlockFormat):
-    """Generic MXINT-N: sign + 1 integer bit + ``frac_bits`` fraction bits."""
+    """Generic MXINT-N: sign + 1 integer bit + ``frac_bits`` fraction bits.
+
+    Eq. (1) with ``e_max = 0`` over an :class:`~repro.core.elem.IntCodec`:
+    the rounding is :class:`~repro.core.mx.MXFormat`'s.
+    """
 
     def __init__(self, bits: int, block_size: int = 32, name: str | None = None):
         self.bits = bits
         self.frac_bits = bits - 2  # sign + integer bit take two
         self.block_size = block_size
         self.name = name or f"mxint{bits}"
-
-    @property
-    def max_code(self) -> int:
-        return (1 << (self.bits - 1)) - 1
-
-    def _shared_exp(self, blocks: np.ndarray) -> np.ndarray:
-        amax = np.max(np.abs(blocks), axis=-1)
-        exp = floor_log2(amax)  # e_max = 0
-        exp = np.where(amax == 0, E8M0_MIN, exp)
-        return np.clip(exp, E8M0_MIN, E8M0_MAX).astype(np.int32)
+        self._mx = MXFormat(IntCodec(f"int{bits}", bits, self.frac_bits), block_size, self.name)
 
     def quantize_dequantize(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
         blocked = to_blocks(x, self.block_size, axis)
-        data = blocked.data
-        shared_exp = self._shared_exp(data)
-        scale = np.exp2(shared_exp.astype(np.float64))[..., None]
-        step = float(1 << self.frac_bits)
-        q = np.clip(round_half_even(data / scale * step), -self.max_code, self.max_code)
-        return from_blocks(blocked, q / step * scale)
+        return from_blocks(blocked, self._mx._round(blocked.data)[0])
 
     def bits_per_element(self) -> float:
         return self.bits + 8.0 / self.block_size
@@ -60,26 +51,16 @@ class MXIntPlusFormat(MXIntFormat):
     def quantize_dequantize(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
         blocked = to_blocks(x, self.block_size, axis)
         data = blocked.data
-        absd = np.abs(data)
-        bm_index = np.argmax(absd, axis=-1).astype(np.int64)
-        shared_exp = self._shared_exp(data)
-        scale = np.exp2(shared_exp.astype(np.float64))[..., None]
-
-        step = float(1 << self.frac_bits)
-        q = np.clip(round_half_even(data / scale * step), -self.max_code, self.max_code)
-        out = q / step * scale
+        bm_index = np.argmax(np.abs(data), axis=-1)[..., None]
+        out, shared_exp = self._mx._round(data)
 
         # BM: scaled magnitude is in [1, 2) -> implicit leading integer bit,
-        # frac_bits + 1 stored fraction bits.
-        bm_signed = np.take_along_axis(data, bm_index[..., None], axis=-1)[..., 0]
-        sign = np.where(bm_signed < 0, -1.0, 1.0)
-        f = np.abs(bm_signed) / scale[..., 0]
-        bm_step = float(1 << (self.frac_bits + 1))
-        code = np.clip(round_half_even((f - 1.0) * bm_step), 0, bm_step - 1)
-        bm_val = sign * (1.0 + code / bm_step) * scale[..., 0]
-        amax = np.max(absd, axis=-1)
-        bm_val = np.where(amax == 0, 0.0, bm_val)
-        np.put_along_axis(out, bm_index[..., None], bm_val[..., None], axis=-1)
+        # frac_bits + 1 stored fraction bits (Eq. 2 with e_max = 0).
+        scale = np.exp2(shared_exp.astype(np.float64))[..., None]
+        bm_signed = np.take_along_axis(data, bm_index, axis=-1)
+        bm_val = quantize_bm(bm_signed / scale, 0, self.frac_bits + 1) * scale
+        bm_val[bm_signed == 0] = 0.0  # all-zero block
+        np.put_along_axis(out, bm_index, bm_val, axis=-1)
         return from_blocks(blocked, out)
 
     def bits_per_element(self) -> float:

@@ -38,7 +38,24 @@ __all__ = [
     "MXFP8Plus",
     "MXFP4PlusK64",
     "decompose_bm",
+    "quantize_bm",
 ]
+
+
+def quantize_bm(scaled_bm: np.ndarray, emax: int, mbits: int) -> np.ndarray:
+    """Eq. (2): quantize a scaled BM to ``(-1)^s * 2**emax * 1.m`` form.
+
+    The fraction has ``mbits`` bits. Fractions that would round up to 2.0
+    saturate at the top code (the paper keeps the shared scale untouched,
+    so bumping the exponent is not an option). The one BM rule of MX+,
+    MXINT+ (``emax = 0``) and NVFP4+.
+    """
+    sign = np.where(scaled_bm < 0, -1.0, 1.0)
+    anchor = 2.0**emax
+    f = np.abs(scaled_bm) / anchor  # in [1, 2) unless the scale clamped
+    steps = float(1 << mbits)
+    code = np.clip(round_half_even((f - 1.0) * steps), 0, steps - 1)
+    return sign * anchor * (1.0 + code / steps)
 
 
 def bm_positions(bm_index: np.ndarray, k: int) -> np.ndarray:
@@ -194,19 +211,8 @@ class MXPlusFormat(BlockFormat):
         )
 
     def _quantize_bm(self, scaled_bm: np.ndarray) -> np.ndarray:
-        """Quantize the scaled BM to ``(-1)^s * 2**e_max * 1.m`` form.
-
-        The fraction has ``bm_mbits`` bits. Fractions that would round up to
-        2.0 saturate at the top code (the paper keeps the shared scale
-        untouched, so bumping the exponent is not an option).
-        """
-        sign = np.where(scaled_bm < 0, -1.0, 1.0)
-        anchor = 2.0**self.elem.emax
-        f = np.abs(scaled_bm) / anchor  # in [1, 2) unless the scale clamped
-        steps = float(1 << self.bm_mbits)
-        code = round_half_even((f - 1.0) * steps)
-        code = np.clip(code, 0, steps - 1)
-        return sign * anchor * (1.0 + code / steps)
+        """:func:`quantize_bm` with this format's ``e_max`` and ``bm_mbits``."""
+        return quantize_bm(scaled_bm, self.elem.emax, self.bm_mbits)
 
     def decode(self, enc: MXPlusEncoded) -> np.ndarray:
         flush = enc.shared_exp == ZERO_BLOCK_SENTINEL

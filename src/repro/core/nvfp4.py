@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .blocks import BlockFormat, from_blocks, to_blocks
-from .elem import E2M1, E4M3, round_half_even
+from .elem import E2M1, E4M3
+from .mxplus import quantize_bm
 
 __all__ = ["NVFP4Format", "NVFP4PlusFormat", "NVFP4", "NVFP4Plus"]
 
@@ -62,21 +63,15 @@ class NVFP4PlusFormat(NVFP4Format):
         safe = np.where(scale == 0, 1.0, scale)
         out = self.elem.quantize(data / safe) * scale
 
-        bm_index = np.argmax(absd, axis=-1).astype(np.int64)
-        bm_signed = np.take_along_axis(data, bm_index[..., None], axis=-1)[..., 0]
-        scaled_bm = np.abs(bm_signed) / safe[..., 0]
-        anchor = 2.0**self.elem.emax
+        bm_index = np.argmax(absd, axis=-1)[..., None]
+        scaled_bm = np.take_along_axis(data, bm_index, axis=-1) / safe
 
-        # Extended representation only when the scaled BM reaches e_max.
-        eligible = scaled_bm >= anchor
-        sign = np.where(bm_signed < 0, -1.0, 1.0)
-        mext = self.elem.mbits + self.elem.ebits
-        steps = float(1 << mext)
-        code = np.clip(round_half_even((scaled_bm / anchor - 1.0) * steps), 0, steps - 1)
-        bm_plus = sign * anchor * (1.0 + code / steps) * safe[..., 0]
-        bm_plain = np.take_along_axis(out, bm_index[..., None], axis=-1)[..., 0]
-        bm_val = np.where(eligible, bm_plus, bm_plain)
-        np.put_along_axis(out, bm_index[..., None], bm_val[..., None], axis=-1)
+        # Extended representation (Eq. 2 on the E4M3-scaled BM) only when
+        # the scaled BM reaches e_max.
+        eligible = np.abs(scaled_bm) >= 2.0**self.elem.emax
+        bm_plus = quantize_bm(scaled_bm, self.elem.emax, self.elem.mbits + self.elem.ebits) * safe
+        bm_plain = np.take_along_axis(out, bm_index, axis=-1)
+        np.put_along_axis(out, bm_index, np.where(eligible, bm_plus, bm_plain), axis=-1)
         return from_blocks(blocked, out)
 
     def bits_per_element(self) -> float:

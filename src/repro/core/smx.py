@@ -17,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .blocks import BlockFormat, from_blocks, to_blocks
-from .elem import floor_log2, round_half_even
+from .elem import IntCodec, floor_log2
+from .scale import E8M0_MAX, E8M0_MIN
 
 __all__ = ["SMXFormat", "SMX4", "SMX6", "SMX9"]
 
@@ -36,28 +37,28 @@ class SMXFormat(BlockFormat):
         self.block_size = block_size
         self.subgroup = subgroup
         self.name = name or f"smx{mantissa_bits + 2}"
+        # sign + mantissa_bits with no implicit bit, against the pair's
+        # effective exponent: a fixed-point grid (see MSFPFormat).
+        self._elem = IntCodec(f"int{mantissa_bits + 1}", mantissa_bits + 1, mantissa_bits - 1)
 
     def quantize_dequantize(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
         blocked = to_blocks(x, self.block_size, axis)
         data = blocked.data
-        amax = np.max(np.abs(data), axis=-1)
-        shared_exp = np.clip(floor_log2(amax), -127, 127)
+        pair_shape = data.shape[:-1] + (self.block_size // self.subgroup, self.subgroup)
+        pairs = data.reshape(pair_shape)
+        mag = np.abs(pairs)
+        pair_amax = np.max(mag, axis=-1)
+        amax = np.max(pair_amax, axis=-1)
+        shared_exp = np.clip(floor_log2(amax), E8M0_MIN, E8M0_MAX)
 
         # Per-pair microexponent: shift down by one when the whole pair
         # has headroom (pair max exponent strictly below the shared one).
-        pair_shape = data.shape[:-1] + (self.block_size // self.subgroup, self.subgroup)
-        pairs = data.reshape(pair_shape)
-        pair_amax = np.max(np.abs(pairs), axis=-1)
-        pair_exp = floor_log2(pair_amax)
-        micro = np.clip(shared_exp[..., None] - pair_exp, 0, 1)
+        micro = np.clip(shared_exp[..., None] - floor_log2(pair_amax), 0, 1)
         micro = np.where(pair_amax == 0, 1, micro)  # all-zero pair: harmless
 
         eff_exp = shared_exp[..., None] - micro
-        ulp = np.exp2(eff_exp.astype(np.float64) + 1 - self.mantissa_bits)[..., None]
-        max_code = (1 << self.mantissa_bits) - 1
-        q = np.clip(round_half_even(pairs / ulp), -max_code, max_code)
-        out = (q * ulp).reshape(data.shape)
-        out = np.where(amax[..., None] == 0, 0.0, out)
+        out = self._elem.round_scaled(pairs, eff_exp[..., None], mag).reshape(data.shape)
+        out[amax == 0] = 0.0  # all-zero blocks come back as +0.0
         return from_blocks(blocked, out)
 
     def bits_per_element(self) -> float:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .blocks import BlockFormat, from_blocks, to_blocks
-from .elem import E2M1, E2M3, FloatCodec, floor_log2
-from .scale import E8M0_MAX, E8M0_MIN
+from .elem import E2M1, E2M3, FloatCodec
+from .mx import MXFormat
 
 __all__ = ["TopKPromoteFormat", "promoted_fraction"]
 
@@ -37,19 +37,14 @@ class TopKPromoteFormat(BlockFormat):
         self.promoted = promoted
         self.block_size = block_size
         self.name = name or f"mx-{base.name}-top{k}-{promoted.name}"
+        # Eq. (1) and the base grid are plain MX over ``base``.
+        self._mx = MXFormat(base, block_size, self.name)
 
     def quantize_dequantize(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
         blocked = to_blocks(x, self.block_size, axis)
         data = blocked.data
-        amax = np.max(np.abs(data), axis=-1)
-        shared_exp = floor_log2(amax) - self.base.emax
-        shared_exp = np.where(amax == 0, E8M0_MIN, shared_exp)
-        shared_exp = np.clip(shared_exp, E8M0_MIN, E8M0_MAX)
-        scale = np.exp2(shared_exp.astype(np.float64))[..., None]
-
-        scaled = data / scale
-        base_q = self.base.quantize(scaled)
-        promo_q = self.promoted.quantize(scaled)
+        base_q, shared_exp = self._mx._round(data)
+        promo_q = self.promoted.round_scaled(data, shared_exp[..., None])
 
         # Indices of the k largest magnitudes per block.
         order = np.argsort(-np.abs(data), axis=-1, kind="stable")
@@ -57,8 +52,7 @@ class TopKPromoteFormat(BlockFormat):
         promote = np.zeros(data.shape, dtype=bool)
         np.put_along_axis(promote, topk, True, axis=-1)
 
-        out = np.where(promote, promo_q, base_q) * scale
-        return from_blocks(blocked, out)
+        return from_blocks(blocked, np.where(promote, promo_q, base_q))
 
     def bits_per_element(self) -> float:
         # k promoted elements cost (promoted - base) extra bits, plus one

@@ -3,7 +3,7 @@
 from .area import MXPLUS_COMPONENTS, scale_to_node, tensor_core_overhead
 from .convert import ConversionCosts, converted_matmul_time, table4_row
 from .hardware import DPECycleModel, dpe_block_dot, lane_view, tensor_core_matmul
-from .inference import ServingConfig, StageTimes, end_to_end_speedup, simulate_inference
+from .inference import StageTimes, end_to_end_speedup, simulate_inference
 from .kernels import GemmShape, gemm_time
 from .quanttime import measure_quantization_time, quantization_time_table
 from .spec import FORMAT_BITS, GPUSpec, RTX5090, RTXA6000
@@ -16,7 +16,6 @@ __all__ = [
     "FORMAT_BITS",
     "GemmShape",
     "gemm_time",
-    "ServingConfig",
     "StageTimes",
     "simulate_inference",
     "end_to_end_speedup",

@@ -13,14 +13,12 @@ costs ~1.5x in prefill but vanishes in decode — reproducing Figure 11.
 
 Configuration
 -------------
-The canonical configuration object is :class:`repro.serve.QuantRecipe` —
+The one configuration object is :class:`repro.serve.QuantRecipe`:
 :class:`StepPricer` and ``simulate_inference``/``end_to_end_speedup``/
-``step_time`` accept a recipe, a recipe name, or a :class:`ServingConfig`
-— the internal timing struct a recipe lowers to
-(``QuantRecipe.to_serving_config()``). The request-level front-end
-(continuous batching, TTFT/TPOT) lives in
-:class:`repro.serve.ServingEngine`, which prices every step with a
-:class:`StepPricer`. The pricer is the only implementation of the step
+``step_time`` accept a recipe or a recipe name and read its role fields
+directly. The request-level front-end (continuous batching, TTFT/TPOT)
+lives in :class:`repro.serve.ServingEngine`, which prices every step with
+a :class:`StepPricer`. The pricer is the only implementation of the step
 roofline, and its memos belong to it: this module keeps no memoized
 values at module level.
 """
@@ -33,12 +31,10 @@ from typing import Iterable
 
 from ..models.zoo import ArchSpec
 from .kernels import GemmShape, gemm_time
-from .spec import FORMAT_BITS, GPUSpec, RTX5090
+from .spec import GPUSpec, RTX5090
 
 __all__ = [
-    "ServingConfig",
     "StageTimes",
-    "as_serving_config",
     "spread_layer_overrides",
     "StepPricer",
     "step_time",
@@ -47,47 +43,6 @@ __all__ = [
     "step_time_cache_info",
     "clear_step_time_cache",
 ]
-
-
-@dataclass(frozen=True)
-class ServingConfig:
-    """Low-level timing knobs for one configuration (internal struct).
-
-    Prefer :class:`repro.serve.QuantRecipe`; this object is what
-    ``QuantRecipe.to_serving_config()`` produces and what the timing
-    functions consume internally.
-    """
-
-    name: str
-    act_fmt: str = "bf16"
-    weight_fmt: str = "bf16"
-    mxplus_software: bool = False  # Algorithm 1 extra sparse MMA on A
-    mxplus_hardware: bool = False  # Section 6 Tensor-Core integration
-    min_tile_m: int = 1  # kernel tile granularity on M (A8W4: 128)
-    # -- mixed-precision threading (QuantRecipe.to_serving_config) --------
-    kv_fmt: str = ""  # KV-cache stream format; "" follows act_fmt
-    lm_head_fmt: str = ""  # LM-head weight format; "" follows weight_fmt
-    # ((layer, fmt), ...): per-layer act+weight replacement, see
-    # QuantRecipe.layer_overrides; n_layer_groups declares the layer space
-    # (0 = physical arch layers, G > 0 = G equal groups spread over them).
-    layer_overrides: tuple = ()
-    n_layer_groups: int = 0
-
-
-def as_serving_config(cfg) -> ServingConfig:
-    """Normalize a ``QuantRecipe`` / recipe name / ``ServingConfig``."""
-    if isinstance(cfg, ServingConfig):
-        return cfg
-    if isinstance(cfg, str):
-        from ..serve.recipe import QuantRecipe
-
-        return QuantRecipe.from_name(cfg).to_serving_config()
-    to_serving = getattr(cfg, "to_serving_config", None)
-    if callable(to_serving):
-        return to_serving()
-    raise TypeError(
-        f"expected QuantRecipe, recipe name, or ServingConfig, got {cfg!r}"
-    )
 
 
 @dataclass
@@ -177,55 +132,46 @@ class StepPricer:
     :class:`repro.serve.ServingEngine` builds its own.
     """
 
-    def __init__(self, spec: GPUSpec, arch: ArchSpec, cfg) -> None:
-        cfg = as_serving_config(cfg)
+    def __init__(self, spec: GPUSpec, arch: ArchSpec, recipe) -> None:
+        from ..serve.recipe import AUTO, as_recipe  # serve imports this module
+
+        recipe = as_recipe(recipe)
         self.spec = spec
         self.arch = arch
-        self.cfg = cfg
+        self.recipe = recipe
         self._kv_dim = arch.n_kv_heads * arch.head_dim
-        head_fmt = cfg.lm_head_fmt or cfg.weight_fmt
-        if cfg.layer_overrides:
+        act, weight = recipe.act, recipe.weight
+        software = recipe.integration == "software"
+        hardware = recipe.integration == "hardware"
+        head_fmt = weight if recipe.lm_head == AUTO else recipe.lm_head
+        if recipe.layer_overrides:
             # Mixed-precision recipe: the MX+ integration overheads apply
             # only where an MX+ format is actually in play, so flags are
             # re-derived from the formats everywhere — base layers,
             # overrides, LM head.
-            base_flags = (
-                cfg.mxplus_software and "+" in cfg.act_fmt,
-                cfg.mxplus_hardware and "+" in cfg.act_fmt + cfg.weight_fmt,
-            )
-            head_flags = (
-                cfg.mxplus_software and "+" in cfg.act_fmt,
-                cfg.mxplus_hardware and "+" in cfg.act_fmt + head_fmt,
-            )
+            base_flags = (software and "+" in act, hardware and "+" in act + weight)
+            head_flags = (software and "+" in act, hardware and "+" in act + head_fmt)
         else:
-            # Uniform recipes keep the caller's flags verbatim (the
+            # Uniform recipes keep the recipe's flags verbatim (the
             # calibrated Figure 11-13 behavior).
-            base_flags = head_flags = (cfg.mxplus_software, cfg.mxplus_hardware)
+            base_flags = head_flags = (software, hardware)
         #: the LM head as a variant: the base activations against head_fmt
-        self._head = (cfg.act_fmt, head_fmt, "", *head_flags)
+        self._head = (act, head_fmt, "", *head_flags)
         # Layer variants as (act, weight, kv, software, hardware): the base
         # layer first, then one per override format in first-appearance
         # order; kv="auto" follows a layer's own activation format, so an
         # overridden layer's attention is priced at its override (the same
         # semantics QuantRecipe.to_context gives the numeric path).
-        self._variants = [
-            (cfg.act_fmt, cfg.weight_fmt, cfg.kv_fmt or cfg.act_fmt, *base_flags)
-        ]
+        kv = None if recipe.kv == AUTO else recipe.kv
+        self._variants = [(act, weight, kv or act, *base_flags)]
         index = {}
         overrides = []
-        spread = spread_layer_overrides(
-            cfg.layer_overrides, cfg.n_layer_groups, arch.n_layers
-        )
-        for fmt in spread.values():
+        for fmt in recipe.spread_overrides(arch.n_layers).values():
             if fmt not in index:
                 index[fmt] = len(self._variants)
-                self._variants.append((
-                    fmt,
-                    fmt,
-                    cfg.kv_fmt or fmt,
-                    cfg.mxplus_software and "+" in fmt,
-                    cfg.mxplus_hardware and "+" in fmt,
-                ))
+                self._variants.append(
+                    (fmt, fmt, kv or fmt, software and "+" in fmt, hardware and "+" in fmt)
+                )
             overrides.append(index[fmt])
         #: variant index of every overridden physical layer, in spread order
         self._overrides = tuple(overrides)
@@ -244,7 +190,7 @@ class StepPricer:
             b_fmt=b_fmt,
             mxplus_software=software,
             mxplus_hardware=hardware,
-            min_tile_m=self.cfg.min_tile_m,
+            min_tile_m=self.recipe.min_tile_m,
         )
 
     def _price_rows(self, m: int) -> tuple:
@@ -428,8 +374,7 @@ def simulate_inference(
 ) -> StageTimes:
     """Aggregate matmul time for prefill and decode stages (seconds).
 
-    ``cfg`` may be a :class:`repro.serve.QuantRecipe`, a recipe name, or a
-    legacy :class:`ServingConfig`.
+    ``cfg`` is a :class:`repro.serve.QuantRecipe` or a recipe name.
     """
     pricer = StepPricer(spec, arch, cfg)
     prefill = pricer.price([(batch * prompt_len, prompt_len)])

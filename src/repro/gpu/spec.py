@@ -11,21 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from ..core.registry import get_format, registry_version
+
 __all__ = ["GPUSpec", "RTX5090", "RTXA6000", "FORMAT_BITS", "format_storage_bits"]
 
-#: storage bits per element for traffic accounting (incl. sidebands)
+#: storage bits per element of the baseline float types; every other
+#: format's width is its registered encoder's ``bits_per_element()``
 FORMAT_BITS: dict[str, float] = {
     "bf16": 16.0,
     "fp16": 16.0,
-    "mxfp8": 8.25,
-    "mxfp8+": 8.5,
-    "mxfp6": 6.25,
-    "mxfp6+": 6.5,
-    "mxfp4": 4.25,
-    "mxfp4+": 4.5,
-    "mxfp4++": 4.5,
-    "mxfp4-k64": 4.125,  # 64-element blocks halve the scale sideband
-    "mxfp4+-k64": 4.25,  # scale + BM-index bytes amortized over 64 elems
     "fp32": 32.0,
 }
 
@@ -33,21 +27,23 @@ FORMAT_BITS: dict[str, float] = {
 def format_storage_bits(fmt: str, default: float | None = None) -> float:
     """Average storage bits per element for format name ``fmt``.
 
-    Prefers the calibrated :data:`FORMAT_BITS` sideband accounting;
-    formats absent from that table (MXINT, NVFP4, re-registered block
-    variants, ...) fall back to their encoder's ``bits_per_element()``,
-    memoized against the registry version so ``register_format(...,
-    overwrite=True)`` is seen. Unknown names raise ``KeyError`` unless
-    ``default`` is given. The one lookup both the GEMM traffic model
-    (:mod:`repro.gpu.kernels`) and the KV-cache footprint accounting
-    (:func:`repro.serve.kvcache.format_kv_bits`) share.
+    The baseline float types come from :data:`FORMAT_BITS`; every
+    registered format (MX, MX+, MX++, MXINT, NVFP4, re-registered block
+    variants, ...) reports its encoder's ``bits_per_element()``: element
+    width plus its share of the shared-scale (and BM-index) sidebands.
+    That width is memoized against the registry version, so
+    ``register_format(..., overwrite=True)`` is seen. Unknown names raise
+    ``KeyError`` unless ``default`` is given. The one lookup both the GEMM
+    traffic model (:mod:`repro.gpu.kernels`) and the KV-cache footprint
+    accounting (:func:`repro.serve.kvcache.format_kv_bits`) share.
+
+    >>> format_storage_bits("mxfp4"), format_storage_bits("mxfp4+")
+    (4.25, 4.5)
     """
     key = fmt.lower()
     bits = FORMAT_BITS.get(key)
     if bits is not None:
         return bits
-    from ..core.registry import registry_version
-
     try:
         return _registry_storage_bits(key, registry_version())
     except KeyError:
@@ -58,8 +54,6 @@ def format_storage_bits(fmt: str, default: float | None = None) -> float:
 
 @lru_cache(maxsize=None)
 def _registry_storage_bits(key: str, version: int) -> float:
-    from ..core.registry import get_format
-
     return float(get_format(key).bits_per_element())
 
 

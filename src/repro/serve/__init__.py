@@ -28,7 +28,7 @@ Quickstart::
     print(fleet.summary(ttft_slo_s=2.0, tpot_slo_s=0.05))
 """
 
-from .recipe import QuantRecipe, available_recipes, get_recipe, register_recipe
+from .recipe import QuantRecipe, as_recipe, available_recipes, get_recipe, register_recipe
 from .kvcache import (
     INTERCONNECTS,
     KVTransfer,
@@ -88,6 +88,7 @@ from .shard import SHARDABLE_ROUTERS, plan_shards, run_sharded
 
 __all__ = [
     "QuantRecipe",
+    "as_recipe",
     "register_recipe",
     "get_recipe",
     "available_recipes",

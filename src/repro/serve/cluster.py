@@ -79,7 +79,7 @@ from .engine import (
     arrival_order,
 )
 from .kvcache import KVTransfer, PagedKVCache, get_interconnect, kv_token_bytes
-from .recipe import QuantRecipe
+from .recipe import as_recipe
 
 __all__ = [
     "ReplicaSnapshot",
@@ -750,8 +750,7 @@ class ServingCluster:
             n_replicas = n_prefill + n_decode
         if n_replicas < 1:
             raise ValueError("n_replicas must be >= 1")
-        if isinstance(recipe, str):
-            recipe = QuantRecipe.from_name(recipe)
+        recipe = as_recipe(recipe)
         self.arch = arch
         self.recipe = recipe
         self.spec = spec

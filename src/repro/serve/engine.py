@@ -78,7 +78,7 @@ from ..gpu.inference import StageTimes, StepPricer
 from ..gpu.spec import GPUSpec, RTX5090
 from ..models.zoo import ArchSpec
 from .kvcache import PagedKVCache
-from .recipe import QuantRecipe
+from .recipe import as_recipe
 from .sched import Scheduler, StepPlan, get_scheduler
 
 __all__ = [
@@ -432,8 +432,7 @@ class ServingEngine:
         Full-size architecture descriptor (``repro.models.zoo.ARCHS``)
         driving the kernel-time model.
     recipe:
-        A :class:`QuantRecipe`, recipe name, or legacy ``ServingConfig``
-        (the latter timing-only: numeric mode requires a recipe).
+        A :class:`QuantRecipe` or recipe name.
     spec:
         GPU spec for the roofline model (default RTX 5090-class).
     kv_token_budget:
@@ -495,8 +494,7 @@ class ServingEngine:
         tracer=None,
         pricer: StepPricer | None = None,
     ) -> None:
-        if isinstance(recipe, str):
-            recipe = QuantRecipe.from_name(recipe)
+        recipe = as_recipe(recipe)
         if role not in ENGINE_ROLES:
             raise ValueError(
                 f"unknown engine role {role!r} (one of {', '.join(ENGINE_ROLES)})"
@@ -521,14 +519,6 @@ class ServingEngine:
         self.scheduler: Scheduler = get_scheduler(scheduler)
         self._qc = None
         if model is not None:
-            if not isinstance(recipe, QuantRecipe):
-                # A bare ServingConfig carries timing knobs only — running
-                # the model without the matching QuantContext would pair
-                # quantized timing with unquantized tokens.
-                raise ValueError(
-                    "numeric mode (model=...) requires a QuantRecipe or "
-                    f"recipe name, got {type(recipe).__name__}"
-                )
             self._qc = recipe.to_context()
         self.begin_run()
 

@@ -44,6 +44,7 @@ import math
 from dataclasses import dataclass
 from ..gpu.spec import format_storage_bits
 from ..models.zoo import ArchSpec
+from .recipe import AUTO, as_recipe
 
 __all__ = [
     "PagedKVCache",
@@ -59,8 +60,8 @@ def format_kv_bits(fmt: str) -> float:
     """Average storage bits per KV element for format name ``fmt``.
 
     Delegates to :func:`repro.gpu.spec.format_storage_bits` — the shared
-    calibrated-table-then-registry lookup — with unknown names raising
-    ``KeyError``.
+    lookup (the baseline float widths, then the format registry) — with
+    unknown names raising ``KeyError``.
 
     >>> format_kv_bits("bf16"), format_kv_bits("mxfp4"), format_kv_bits("mxfp4+")
     (16.0, 4.25, 4.5)
@@ -73,34 +74,29 @@ def kv_token_bytes(arch: ArchSpec, recipe_or_fmt) -> float:
 
     One token keeps a key and a value vector (``n_kv_heads * head_dim``
     each) per layer; the per-element width comes from the recipe's
-    resolved KV format (:attr:`repro.serve.QuantRecipe.kv_format`) or a
-    plain format name. For a mixed-precision recipe with ``kv="auto"``
-    the cache is stored per layer in that layer's own format (the
-    ``QuantRecipe.to_context`` semantics), so the per-token bytes sum
-    layer-by-layer over the spread overrides; an explicit ``kv=`` pins
-    every layer.
+    resolved KV format (:attr:`repro.serve.QuantRecipe.kv_format`);
+    ``recipe_or_fmt`` is a recipe, a recipe name or a format name (see
+    :func:`repro.serve.recipe.as_recipe`). For a mixed-precision recipe
+    with ``kv="auto"`` the cache is stored per layer in that layer's own
+    format (the ``QuantRecipe.to_context`` semantics), so the per-token
+    bytes sum layer-by-layer over the spread overrides; an explicit
+    ``kv=`` pins every layer.
 
     >>> from repro.models.zoo import ARCHS
     >>> kv_token_bytes(ARCHS["llama-2-13b"], "bf16")
     819200.0
+    >>> kv_token_bytes(ARCHS["llama-2-13b"], "a8w4")  # KV follows act: mxfp8
+    422400.0
     """
-    fmt = getattr(recipe_or_fmt, "kv_format", recipe_or_fmt)
+    recipe = as_recipe(recipe_or_fmt)
+    fmt = recipe.kv_format
     per_layer_bytes = 2.0 * arch.n_kv_heads * arch.head_dim / 8.0
-    overrides = getattr(recipe_or_fmt, "layer_overrides", ())
-    if overrides:
-        from ..gpu.inference import spread_layer_overrides
-        from .recipe import AUTO
-
-        if getattr(recipe_or_fmt, "kv", None) == AUTO:
-            spread = spread_layer_overrides(
-                tuple(overrides),
-                getattr(recipe_or_fmt, "n_layer_groups", 0),
-                arch.n_layers,
-            )
-            return per_layer_bytes * sum(
-                format_kv_bits(str(spread.get(i, fmt))) for i in range(arch.n_layers)
-            )
-    return per_layer_bytes * arch.n_layers * format_kv_bits(str(fmt))
+    if recipe.layer_overrides and recipe.kv == AUTO:
+        spread = recipe.spread_overrides(arch.n_layers)
+        return per_layer_bytes * sum(
+            format_kv_bits(spread.get(i, fmt)) for i in range(arch.n_layers)
+        )
+    return per_layer_bytes * arch.n_layers * format_kv_bits(fmt)
 
 
 @dataclass(slots=True)

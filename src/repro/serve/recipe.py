@@ -5,14 +5,16 @@ format each tensor role uses (activations, weights, KV cache, LM head,
 attention matmuls), how MX+ is integrated (software Algorithm 1 vs. the
 Tensor-Core BCU of Section 6), and the scheme scope (full direct-cast flow
 vs. the linear-only Table 7 protocol). ``QuantRecipe`` captures one such
-recipe as a frozen, validated dataclass and adapts it to every consumer::
+recipe as a frozen, validated dataclass that every consumer reads::
 
     recipe = QuantRecipe.from_name("a-mxfp4+")
-    recipe.to_context()         # numeric path: repro.nn / repro.eval / repro.quant
-    recipe.to_serving_config()  # timing path: repro.gpu.inference
-    ServingEngine(arch, recipe) # request-level serving: repro.serve.engine
+    recipe.to_context()             # numeric path: repro.nn / repro.eval / repro.quant
+    StepPricer(spec, arch, recipe)  # timing path: repro.gpu.inference
+    ServingEngine(arch, recipe)     # request-level serving: repro.serve.engine
 
-Named recipes live in a registry (``register_recipe`` / ``get_recipe``).
+Named recipes live in a registry (``register_recipe`` / ``get_recipe``);
+:func:`as_recipe` is the one coercion every entry point that also takes a
+name applies.
 
 Role fields hold *format names* (strings), not format objects, so recipes
 stay hashable, comparable, and trivially serializable; formats are
@@ -27,6 +29,7 @@ from ..core.registry import available_formats, get_format, suggest_near_misses
 
 __all__ = [
     "QuantRecipe",
+    "as_recipe",
     "register_recipe",
     "get_recipe",
     "available_recipes",
@@ -315,7 +318,7 @@ class QuantRecipe:
         return self.kv if self.kv != AUTO else self.act
 
     # ------------------------------------------------------------------
-    # adapters: the one recipe object feeds both repo paths
+    # numeric-path adapter (the timing path reads the fields directly)
     # ------------------------------------------------------------------
     def to_context(self):
         """Adapt to the numeric path: a :class:`repro.nn.quantize.QuantContext`.
@@ -353,29 +356,6 @@ class QuantRecipe:
                 n_layer_groups=0,
             )
         return base
-
-    def to_serving_config(self):
-        """Adapt to the timing path: a :class:`repro.gpu.inference.ServingConfig`.
-
-        ``kv="auto"`` is passed through as the empty ``kv_fmt`` sentinel
-        (not eagerly resolved to the base activation format) so that
-        the step pricer can let an overridden layer's attention operands
-        follow that layer's own format — mirroring :meth:`to_context`.
-        """
-        from ..gpu.inference import ServingConfig
-
-        return ServingConfig(
-            name=self.name,
-            act_fmt=self.act,
-            weight_fmt=self.weight,
-            mxplus_software=self.integration == "software",
-            mxplus_hardware=self.integration == "hardware",
-            min_tile_m=self.min_tile_m,
-            kv_fmt="" if self.kv == AUTO else self.kv,
-            lm_head_fmt=self.weight if self.lm_head == AUTO else self.lm_head,
-            layer_overrides=self.layer_overrides,
-            n_layer_groups=self.n_layer_groups,
-        )
 
     # ------------------------------------------------------------------
     # serialization (tuned-recipe frontiers persist recipes as JSON)
@@ -415,6 +395,20 @@ class QuantRecipe:
             sorted((int(k), v) for k, v in dict(overrides).items())
         )
         return QuantRecipe(**data)
+
+
+def as_recipe(recipe) -> QuantRecipe:
+    """A :class:`QuantRecipe` passes through; a name goes through
+    :meth:`QuantRecipe.from_name` (recipe names and plain format names).
+
+    >>> as_recipe("a8w4") is get_recipe("a8w4")
+    True
+    >>> as_recipe("mxint8").kv_format
+    'mxint8'
+    """
+    if isinstance(recipe, QuantRecipe):
+        return recipe
+    return QuantRecipe.from_name(recipe)
 
 
 # ----------------------------------------------------------------------

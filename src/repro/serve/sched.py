@@ -149,17 +149,17 @@ class ChunkedPrefillScheduler(Scheduler):
 
     def plan(self, engine) -> StepPlan:
         engine.admit_arrived()
-        decode = [s for s in engine.running if s.prefill_done]
+        decode = []
         prefill: list = []
         budget = self.chunk_tokens
         for state in engine.running:  # admission order: FCFS chunking
-            if budget <= 0:
-                break
-            if state.prefill_done:
-                continue
-            rows = min(budget, state.prefill_remaining)
-            prefill.append((state, rows))
-            budget -= rows
+            remaining = state.prefill_remaining
+            if remaining <= 0:
+                decode.append(state)
+            elif budget > 0:
+                rows = min(budget, remaining)
+                prefill.append((state, rows))
+                budget -= rows
         notes = ()
         if prefill:
             notes = (

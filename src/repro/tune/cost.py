@@ -36,7 +36,7 @@ from ..gpu.inference import StepPricer
 from ..gpu.spec import GPUSpec, RTX5090
 from ..models.zoo import ArchSpec
 from ..serve.kvcache import KVTransfer, kv_token_bytes
-from ..serve.recipe import QuantRecipe
+from ..serve.recipe import as_recipe
 
 __all__ = ["RecipeCost", "CostModel"]
 
@@ -146,14 +146,14 @@ class CostModel:
     # ------------------------------------------------------------------
     def concurrency(self, recipe) -> int:
         """Decode-batch size the KV page budget sustains for ``recipe``."""
-        per_request = kv_token_bytes(self.arch, self._coerce(recipe)) * (
+        per_request = kv_token_bytes(self.arch, recipe) * (
             self.prompt_len + self.output_len
         )
         return max(1, min(self.max_batch, int(self.page_budget_bytes // per_request)))
 
     def evaluate(self, recipe) -> RecipeCost:
         """Price one recipe: simulated steady-state serving tokens/s."""
-        recipe = self._coerce(recipe)
+        recipe = as_recipe(recipe)
         concurrency = self.concurrency(recipe)
         mid_ctx = self.prompt_len + self.output_len // 2
         pricer = StepPricer(self.spec, self.arch, recipe)
@@ -252,12 +252,6 @@ class CostModel:
         return get_gpu_price(price).dollars_per_mtok(
             cost.tokens_per_s, n_gpus=n_gpus
         )
-
-    @staticmethod
-    def _coerce(recipe) -> QuantRecipe:
-        if isinstance(recipe, str):
-            return QuantRecipe.from_name(recipe)
-        return recipe
 
     def to_dict(self) -> dict:
         """Scenario parameters as JSON; non-default knobs only, so the

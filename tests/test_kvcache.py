@@ -3,8 +3,11 @@ prefixes, eviction, and the flat-budget shim equivalence."""
 
 import pytest
 
+from repro.core.registry import available_formats, get_format
+from repro.gpu.spec import FORMAT_BITS, format_storage_bits
 from repro.models.zoo import ARCHS
 from repro.serve import (
+    KVTransfer,
     PagedKVCache,
     QuantRecipe,
     Request,
@@ -24,13 +27,27 @@ class TestByteAccounting:
         assert format_kv_bits("mxfp4+") == 4.5
 
     def test_format_bits_fallback_to_encoder(self):
-        # mxint8 is not in FORMAT_BITS; falls back to bits_per_element().
+        # Only the baseline floats are in FORMAT_BITS; every registered
+        # format's width is its encoder's bits_per_element().
         assert format_kv_bits("mxint8") == pytest.approx(8.25)
+        assert set(FORMAT_BITS) == {"bf16", "fp16", "fp32"}
+        for name in available_formats():
+            assert format_storage_bits(name) == get_format(name).bits_per_element()
 
     def test_kv_token_bytes_formula(self):
         # 2 (K,V) * n_layers * kv_dim * bits/8
         expected = 2 * ARCH.n_layers * ARCH.n_kv_heads * ARCH.head_dim * 2.0
         assert kv_token_bytes(ARCH, "bf16") == expected
+        # Recipe names resolve like every other serving entry point; the
+        # KV format follows the activations (a8w4: mxfp8, a-mxfp4+: mxfp4+).
+        for name, want in (
+            ("baseline", expected),
+            ("a8w4", 422400.0),
+            ("a-mxfp4+", 230400.0),
+        ):
+            assert kv_token_bytes(ARCH, name) == want
+            assert PagedKVCache.from_byte_budget(1 << 30, ARCH, name).token_bytes == want
+            assert KVTransfer().migration_bytes(ARCH, name, 10) == 10 * want
 
     def test_kv_token_bytes_resolves_recipe_kv_format(self):
         recipe = get_recipe("mxfp4+")

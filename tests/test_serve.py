@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.registry import available_formats, get_format, register_format
-from repro.gpu.inference import ServingConfig, as_serving_config, simulate_inference, step_time
+from repro.gpu.inference import simulate_inference, step_time
 from repro.gpu.spec import RTX5090
 from repro.models.zoo import ARCHS, load_model
 from repro.nn.quantize import QuantContext, as_context
@@ -123,20 +123,6 @@ class TestRecipeAdapters:
     def test_kv_override(self):
         qc = QuantRecipe("kv8", act="mxfp4", weight="mxfp4", kv="mxfp8").to_context()
         assert qc.kv.name == "mxfp8"
-
-    def test_to_serving_config(self):
-        cfg = get_recipe("a-mxfp4+").to_serving_config()
-        assert isinstance(cfg, ServingConfig)
-        assert cfg.mxplus_software and not cfg.mxplus_hardware
-        cfg = get_recipe("a8w4").to_serving_config()
-        assert cfg.min_tile_m == 128
-
-    def test_as_serving_config_accepts_all_surfaces(self):
-        recipe = get_recipe("mxfp4+")
-        direct = as_serving_config(recipe)
-        assert direct == as_serving_config("mxfp4+") == as_serving_config(direct)
-        with pytest.raises(TypeError):
-            as_serving_config(42)
 
     def test_as_context_accepts_all_surfaces(self):
         recipe = get_recipe("mxfp4")
@@ -321,11 +307,6 @@ class TestNumericMode:
     @pytest.fixture(scope="class")
     def tiny(self):
         return load_model("test-tiny")
-
-    def test_numeric_mode_rejects_timing_only_config(self, tiny):
-        cfg = ServingConfig("mxfp4", "mxfp4", "mxfp4")
-        with pytest.raises(ValueError, match="requires a QuantRecipe"):
-            ServingEngine(ARCHS["llama-2-7b"], cfg, model=tiny)
 
     def test_tokens_match_generate(self, tiny):
         recipe = get_recipe("mxfp4+")

@@ -14,29 +14,42 @@ cold, warm, and through the one-shot :func:`step_time`.
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpu.inference import (
-    StepPricer,
-    as_serving_config,
-    spread_layer_overrides,
-    step_time,
-)
+from repro.gpu.inference import StepPricer, spread_layer_overrides, step_time
 from repro.gpu.kernels import GemmShape, gemm_time
 from repro.gpu.spec import RTX5090, RTXA6000
 from repro.models.zoo import ARCHS
-from repro.serve import get_recipe
+from repro.serve import as_recipe, get_recipe
 
 BASES = ("mxfp4", "mxfp4+", "mxfp4++", "a8w4", "bf16")
 FORMATS = ("bf16", "mxfp4", "mxfp4+", "mxfp4++", "mxfp6", "mxfp8+")
 ARCH_NAMES = ("llama-2-7b", "llama-3.1-8b")
 
 
+def old_timing_fields(recipe) -> SimpleNamespace:
+    """A recipe under the field names the scalar roofline read: ``""``
+    for a KV format that follows each layer's activations, the weight
+    format for an ``"auto"`` LM head, and integration as two flags."""
+    return SimpleNamespace(
+        act_fmt=recipe.act,
+        weight_fmt=recipe.weight,
+        mxplus_software=recipe.integration == "software",
+        mxplus_hardware=recipe.integration == "hardware",
+        min_tile_m=recipe.min_tile_m,
+        kv_fmt="" if recipe.kv == "auto" else recipe.kv,
+        lm_head_fmt=recipe.weight if recipe.lm_head == "auto" else recipe.lm_head,
+        layer_overrides=recipe.layer_overrides,
+        n_layer_groups=recipe.n_layer_groups,
+    )
+
+
 def oracle_step_time(spec, arch, cfg, row_groups) -> float:
     """The scalar step roofline, unmemoized (see the module docstring)."""
-    cfg = as_serving_config(cfg)
+    cfg = old_timing_fields(as_recipe(cfg))
     merged: dict[tuple[int, str], int] = {}
     m = 0
     for group in row_groups:
