@@ -50,7 +50,6 @@ MODULES = [
     "repro.obs.trace",
     "repro.obs.metrics",
     "repro.obs.export",
-    "repro.obs.record",
 ]
 
 

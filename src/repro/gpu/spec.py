@@ -35,7 +35,7 @@ def format_storage_bits(fmt: str, default: float | None = None) -> float:
     ``register_format(..., overwrite=True)`` is seen. Unknown names raise
     ``KeyError`` unless ``default`` is given. The one lookup both the GEMM
     traffic model (:mod:`repro.gpu.kernels`) and the KV-cache footprint
-    accounting (:func:`repro.serve.kvcache.format_kv_bits`) share.
+    accounting (:func:`repro.serve.kvcache.kv_token_bytes`) share.
 
     >>> format_storage_bits("mxfp4"), format_storage_bits("mxfp4+")
     (4.25, 4.5)

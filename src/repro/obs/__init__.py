@@ -5,9 +5,9 @@ lifecycle spans and per-replica step spans recorded on the simulation's
 own deterministic clock (:mod:`repro.obs.trace`), a counter / gauge /
 histogram registry with virtual-time series (:mod:`repro.obs.metrics`),
 Perfetto-loadable Chrome trace JSON plus JSONL logs and timeline
-reports (:mod:`repro.obs.export`), and a size-capped flight recorder so
-million-request runs trace their tail at fixed memory
-(:mod:`repro.obs.record`).
+reports (:mod:`repro.obs.export`). A tracer's ``capacity`` caps it to a
+flight-recorder ring, so million-request runs trace their tail at fixed
+memory.
 
 Everything hangs off two nullable handles — ``tracer=`` and
 ``metrics=`` on the engine/cluster — whose off-path is a single ``if``:
@@ -33,7 +33,6 @@ from .export import (
     write_metrics_csv,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .record import FlightRecorder
 from .trace import KIND_ORDER, TraceEvent, Tracer, event_key, merge_events
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "KIND_ORDER",
     "event_key",
     "merge_events",
-    "FlightRecorder",
     "Counter",
     "Gauge",
     "Histogram",

@@ -44,9 +44,8 @@ ordering)::
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterable, NamedTuple
-
-from .record import FlightRecorder
 
 __all__ = [
     "TraceEvent",
@@ -149,76 +148,75 @@ class Tracer:
     ``tracer is None`` and skip in one branch, so an untraced run pays a
     single pointer test per site and produces bit-identical results.
 
-    ``capacity`` bounds memory through a
-    :class:`repro.obs.record.FlightRecorder` ring: a million-request run
-    traced at ``capacity=100_000`` keeps the newest hundred thousand
-    events (the tail) and counts the rest as ``dropped``. Leave it
-    ``None`` for exact, unbounded traces (required when comparing traces
-    across runs — ring eviction depends on emission order).
+    ``capacity`` bounds memory with a flight-recorder ring: a
+    million-request run traced at ``capacity=100_000`` keeps the newest
+    hundred thousand events (the tail, where the preemption storm or the
+    link stall actually happened) and counts the rest as ``dropped``.
+    Leave it ``None`` for exact, unbounded traces (required when
+    comparing traces across runs — ring eviction depends on emission
+    order).
 
     >>> t = Tracer(capacity=3)
     >>> for i in range(5):
     ...     t.emit(float(i), 0, "arrive", f"r{i}", (1, 1))
-    >>> len(t), t.dropped
-    (3, 2)
+    >>> len(t), t.appended, t.dropped
+    (3, 5, 2)
     >>> [e.req for e in t.events()]
     ['r2', 'r3', 'r4']
     """
 
-    __slots__ = ("_recorder",)
+    __slots__ = ("capacity", "appended", "_events")
 
     def __init__(self, capacity: int | None = None) -> None:
-        self._recorder = FlightRecorder(capacity)
+        if capacity is not None and capacity < 1:
+            raise ValueError("capacity must be >= 1 (or None for unbounded)")
+        #: The ring capacity (``None`` when unbounded).
+        self.capacity = capacity
+        #: Total events ever emitted into this tracer.
+        self.appended = 0
+        self._events: deque = deque(maxlen=capacity)
 
     # -- hot path ------------------------------------------------------
     def emit(
         self, t: float, replica: int, kind: str, req: str, data: tuple = ()
     ) -> None:
         """Record one event (the only call on the serving hot path)."""
-        self._recorder.append(TraceEvent(t, replica, kind, req, data))
+        self._events.append(TraceEvent(t, replica, kind, req, data))
+        self.appended += 1
 
     # -- ingestion / introspection -------------------------------------
     def ingest(self, events: Iterable[TraceEvent]) -> None:
         """Append pre-built events (sharded-run merge, replays)."""
-        self._recorder.extend(
-            e if isinstance(e, TraceEvent) else TraceEvent(*e) for e in events
-        )
+        for e in events:
+            self._events.append(e if isinstance(e, TraceEvent) else TraceEvent(*e))
+            self.appended += 1
 
     def raw_events(self) -> list[TraceEvent]:
         """Events in emission order (ring survivors only)."""
-        return list(self._recorder)
+        return list(self._events)
 
     def events(self) -> list[TraceEvent]:
         """Events in canonical :func:`event_key` order — the export
         order, identical for any emission interleaving of the same
         event multiset."""
-        return sorted(self._recorder, key=event_key)
-
-    @property
-    def capacity(self) -> int | None:
-        """The ring capacity (``None`` when unbounded)."""
-        return self._recorder.capacity
+        return sorted(self._events, key=event_key)
 
     @property
     def dropped(self) -> int:
         """Events evicted by the flight-recorder ring so far."""
-        return self._recorder.dropped
-
-    @property
-    def appended(self) -> int:
-        """Total events ever emitted into this tracer."""
-        return self._recorder.appended
+        return self.appended - len(self._events)
 
     def request_ids(self) -> list[str]:
         """Distinct request ids with surviving events, sorted."""
-        return sorted({e.req for e in self._recorder if e.req})
+        return sorted({e.req for e in self._events if e.req})
 
     def clear(self) -> None:
         """Drop all events and counters (reuse across runs)."""
-        self._recorder.clear()
+        self._events.clear()
+        self.appended = 0
 
     def __len__(self) -> int:
-        return len(self._recorder)
+        return len(self._events)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Tracer({len(self)} events, {self.dropped} dropped)"

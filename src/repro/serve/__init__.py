@@ -33,7 +33,6 @@ from .kvcache import (
     INTERCONNECTS,
     KVTransfer,
     PagedKVCache,
-    format_kv_bits,
     get_interconnect,
     kv_token_bytes,
 )
@@ -76,7 +75,6 @@ from .cluster import (
     LeastKVLoadRouter,
     PrefixAffinityRouter,
     QueueDepthRouter,
-    ReplicaSnapshot,
     ROUTERS,
     RoundRobinRouter,
     Router,
@@ -94,7 +92,6 @@ __all__ = [
     "available_recipes",
     "PagedKVCache",
     "kv_token_bytes",
-    "format_kv_bits",
     "KVTransfer",
     "INTERCONNECTS",
     "get_interconnect",
@@ -130,7 +127,6 @@ __all__ = [
     "PrefixAffinityRouter",
     "QueueDepthRouter",
     "FreeKVAtArrivalRouter",
-    "ReplicaSnapshot",
     "ROUTERS",
     "available_routers",
     "get_router",

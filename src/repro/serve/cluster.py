@@ -6,7 +6,7 @@ shard-then-simulate batch harness, it is a *discrete-event simulation*:
 one global loop advances replicas in virtual-time order through the
 engine's ``submit()/peek_next_event()/step()`` API, and every request is
 routed **at its arrival instant** against the live state of the fleet at
-that moment (per-replica queue depth, free KV pages, clocks). Fleet
+that moment (per-replica queue depth, free KV pages). Fleet
 metrics are therefore time-coherent: a replica's events interleave with
 arrivals exactly as they would on one shared timeline.
 
@@ -82,7 +82,6 @@ from .kvcache import KVTransfer, PagedKVCache, get_interconnect, kv_token_bytes
 from .recipe import as_recipe
 
 __all__ = [
-    "ReplicaSnapshot",
     "Router",
     "RoundRobinRouter",
     "LeastKVLoadRouter",
@@ -98,67 +97,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ReplicaSnapshot:
-    """Live state of one replica, as a router observes it at an arrival.
-
-    Replica state changes only at step boundaries, so the snapshot
-    reflects the last step completed at or before the routing instant
-    (or, when a step spans the arrival, the state the replica will
-    expose at its next scheduling boundary — the earliest moment it
-    could act on the new request anyway).
-    """
-
-    index: int  # replica index (stable across the run)
-    clock: float  # the replica's virtual clock
-    n_running: int
-    n_waiting: int
-    free_kv_tokens: int
-    capacity_kv_tokens: int
-
-    @property
-    def queue_depth(self) -> int:
-        """Unfinished requests on the replica (waiting + running)."""
-        return self.n_running + self.n_waiting
-
-
 class Router:
     """Base class: assign each request (in arrival order) to a replica.
 
     Routers see requests one at a time, sorted by arrival, and must be
     deterministic — equal inputs yield equal assignments, and all
     tie-breaks resolve to the lowest replica index. ``route`` receives
-    the live :class:`ReplicaSnapshot` list for the routable replicas at
-    the arrival instant; routers that predate the event loop (or direct
-    calls in tests) may be invoked without snapshots and fall back to
-    their static behavior over ``range(n_replicas)``.
+    ``live``, the routable replica indices in pool order, and
+    ``replicas``, the fleet's engines indexed by replica; load-feedback
+    routers read ``replicas[j]``'s live state at the arrival instant.
     """
 
     name = "base"
 
-    def __init__(self, n_replicas: int) -> None:
-        if n_replicas < 1:
-            raise ValueError("n_replicas must be >= 1")
-        self.n_replicas = n_replicas
+    def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
         """Return to the initial state; called before every cluster run
         so router instances behave like freshly-built ones."""
 
-    def resize(self, n_replicas: int) -> None:
-        """Adapt to a fleet of ``n_replicas`` (autoscaling)."""
-        if n_replicas < 1:
-            raise ValueError("n_replicas must be >= 1")
-        self.n_replicas = n_replicas
-
-    def _indices(self, replicas: list[ReplicaSnapshot] | None) -> list[int]:
-        if replicas is not None:
-            return [s.index for s in replicas]
-        return list(range(self.n_replicas))
-
     def route(
-        self, request: Request, replicas: list[ReplicaSnapshot] | None = None
+        self, request: Request, live: list[int], replicas: list[ServingEngine]
     ) -> int:  # pragma: no cover - interface
         """Pick the replica index for ``request`` (see class docstring)."""
         raise NotImplementedError
@@ -172,10 +132,9 @@ class RoundRobinRouter(Router):
     def reset(self) -> None:
         self._pos = 0
 
-    def route(self, request, replicas=None) -> int:
+    def route(self, request, live, replicas) -> int:
         """The next replica in rotation over the live indices."""
-        indices = self._indices(replicas)
-        replica = indices[self._pos % len(indices)]
+        replica = live[self._pos % len(live)]
         self._pos += 1
         return replica
 
@@ -196,12 +155,12 @@ class LeastKVLoadRouter(Router):
     def reset(self) -> None:
         self.loads: dict[int, int] = {}
 
-    def _least_loaded(self, indices: list[int]) -> int:
-        return min(indices, key=lambda i: (self.loads.get(i, 0), i))
+    def _least_loaded(self, live: list[int]) -> int:
+        return min(live, key=lambda i: (self.loads.get(i, 0), i))
 
-    def route(self, request, replicas=None) -> int:
+    def route(self, request, live, replicas) -> int:
         """The replica with the least committed KV load; charges it."""
-        replica = self._least_loaded(self._indices(replicas))
+        replica = self._least_loaded(live)
         self._charge(replica, request)
         return replica
 
@@ -228,42 +187,26 @@ class PrefixAffinityRouter(LeastKVLoadRouter):
         super().reset()
         self._homes: dict[str, int] = {}
 
-    def route(self, request, replicas=None) -> int:
+    def route(self, request, live, replicas) -> int:
         """The prefix's pinned home, or least-KV-load for prefix-less."""
         if request.prefix_id is None:
-            return super().route(request, replicas)
-        indices = self._indices(replicas)
+            return super().route(request, live, replicas)
         replica = self._homes.get(request.prefix_id)
-        if replica is None or replica not in indices:
-            replica = self._homes[request.prefix_id] = self._least_loaded(indices)
+        if replica is None or replica not in live:
+            replica = self._homes[request.prefix_id] = self._least_loaded(live)
         self._charge(replica, request)
         return replica
 
 
 class QueueDepthRouter(Router):
     """Send to the replica with the shallowest queue at the arrival
-    instant (waiting + running, live), ties to the lowest index.
-
-    Without snapshots (direct calls outside the event loop) it falls
-    back to counting its own assignments — join-shortest-queue degrades
-    to least-assigned when completions cannot be observed.
-    """
+    instant (waiting + running, live), ties to the lowest index."""
 
     name = "queue-depth"
 
-    def reset(self) -> None:
-        self._assigned: dict[int, int] = {}
-
-    def route(self, request, replicas=None) -> int:
-        """The shallowest live queue (fallback: fewest own assignments)."""
-        if replicas is not None:
-            replica = min(replicas, key=lambda s: (s.queue_depth, s.index)).index
-        else:
-            replica = min(
-                range(self.n_replicas), key=lambda i: (self._assigned.get(i, 0), i)
-            )
-        self._assigned[replica] = self._assigned.get(replica, 0) + 1
-        return replica
+    def route(self, request, live, replicas) -> int:
+        """The shallowest live queue."""
+        return min(live, key=lambda j: (replicas[j].queue_depth, j))
 
 
 class FreeKVAtArrivalRouter(Router):
@@ -273,27 +216,14 @@ class FreeKVAtArrivalRouter(Router):
     The live counterpart of ``least-kv-load``: it sees pages already
     released by finished requests and pages pinned by cached prefixes,
     so it diverges from the static router whenever load shifts over the
-    trace. Without snapshots it falls back to the static committed-load
-    heuristic.
+    trace.
     """
 
     name = "free-kv-at-arrival"
 
-    def reset(self) -> None:
-        self._loads: dict[int, int] = {}
-
-    def route(self, request, replicas=None) -> int:
-        """The most free live KV tokens (fallback: least committed load)."""
-        if replicas is not None:
-            replica = min(replicas, key=lambda s: (-s.free_kv_tokens, s.index)).index
-        else:
-            replica = min(
-                range(self.n_replicas), key=lambda i: (self._loads.get(i, 0), i)
-            )
-        self._loads[replica] = (
-            self._loads.get(replica, 0) + request.prompt_len + request.max_new_tokens
-        )
-        return replica
+    def route(self, request, live, replicas) -> int:
+        """The most free live KV tokens."""
+        return min(live, key=lambda j: (-replicas[j].free_kv_tokens, j))
 
 
 ROUTERS: dict[str, type[Router]] = {
@@ -317,7 +247,7 @@ def available_routers() -> list[str]:
     return sorted(ROUTERS)
 
 
-def get_router(name_or_router, n_replicas: int) -> Router:
+def get_router(name_or_router) -> Router:
     """Instantiate a router by name (or pass a :class:`Router` through)."""
     if isinstance(name_or_router, Router):
         return name_or_router
@@ -327,7 +257,7 @@ def get_router(name_or_router, n_replicas: int) -> Router:
             f"unknown router {name_or_router!r} "
             f"(available: {', '.join(available_routers())})"
         )
-    return ROUTERS[key](n_replicas)
+    return ROUTERS[key]()
 
 
 @dataclass(frozen=True)
@@ -335,7 +265,7 @@ class AutoscalePolicy:
     """Scale the fleet on live queue depth, consulted between events.
 
     At every arrival instant the cluster asks :meth:`target` for the
-    desired live-replica count given the fleet snapshots. The default
+    desired live-replica count given the pool's live engines. The default
     rule: when *every* live replica's queue depth is at least
     ``scale_up_queue_depth``, grow by one (new replicas start with a
     cold KV cache); when more than one replica is completely idle and
@@ -355,17 +285,17 @@ class AutoscalePolicy:
         if self.scale_up_queue_depth < 1:
             raise ValueError("scale_up_queue_depth must be >= 1")
 
-    def target(self, snapshots: list[ReplicaSnapshot]) -> int:
-        """Desired live replica count for the given fleet state."""
-        n = len(snapshots)
+    def target(self, replicas: list[ServingEngine]) -> int:
+        """Desired live replica count given the live engines."""
+        n = len(replicas)
         if n < self.max_replicas and n and min(
-            s.queue_depth for s in snapshots
+            e.queue_depth for e in replicas
         ) >= self.scale_up_queue_depth:
             return n + 1
         if (
             self.scale_down
             and n > self.min_replicas
-            and sum(1 for s in snapshots if s.queue_depth == 0) > 1
+            and sum(1 for e in replicas if e.queue_depth == 0) > 1
         ):
             return n - 1
         return n
@@ -519,44 +449,31 @@ class FleetResult(LatencyView):
 
 
 class _EventState:
-    """Per-run next-event heap + router-snapshot delta cache.
+    """Per-run next-event heap over the fleet's replicas.
 
     The global event loop needs, at every iteration, the replica with
-    the earliest next event — and, at every arrival, a fresh
-    :class:`ReplicaSnapshot` list for the router. Scanning every replica
-    per event is O(replicas) twice over; at fleet scale both reads are
-    served from incrementally-maintained state instead:
-
-    * **next-event heap** — entries ``(time, index, version)``, one live
-      entry per replica with work. A replica's schedule only changes
-      when the loop mutates it (``submit``/``step``/``import_kv``), at
-      which point :meth:`touch` bumps its version and pushes a fresh
-      entry; stale entries are skipped lazily at :meth:`peek`. Heap
-      order ``(t, idx)`` reproduces the linear scan's tie-break exactly
-      (earliest time, then lowest replica index).
-    * **snapshot cache** — routers read the cached
-      :class:`ReplicaSnapshot` per replica; only replicas dirtied since
-      the last read (stepped, submitted to, imported into, or mutated by
-      a KV export) are rebuilt. Between consecutive arrivals usually one
-      replica stepped, so a fleet-of-N routing decision costs O(1)
-      snapshot rebuilds instead of O(N).
+    the earliest next event. Scanning every replica per event is
+    O(replicas); at fleet scale the read is served from a heap instead.
+    Entries are ``(time, index, version)``, one live entry per replica
+    with work. A replica's schedule only changes when the loop mutates
+    it (``submit``/``step``/``import_kv``/``export_kv``), at which point
+    :meth:`touch` bumps its version and pushes a fresh entry; stale
+    entries are skipped lazily at :meth:`peek`. Heap order ``(t, idx)``
+    reproduces the linear scan's tie-break exactly (earliest time, then
+    lowest replica index).
     """
 
     def __init__(self, replicas: list[ServingEngine]) -> None:
         self.replicas = replicas
         self.versions = [0] * len(replicas)
         self.heap: list[tuple] = []
-        self.snaps: dict[int, ReplicaSnapshot] = {}
-        self.dirty: set[int] = set(range(len(replicas)))
         for idx in range(len(replicas)):
             self.push(idx)
 
     def track_new(self) -> None:
         """Start tracking a replica just appended to ``replicas``."""
-        idx = len(self.versions)
         self.versions.append(0)
-        self.dirty.add(idx)
-        self.push(idx)
+        self.push(len(self.versions) - 1)
 
     def push(self, idx: int) -> None:
         """(Re-)publish ``idx``'s next event time into the heap."""
@@ -566,9 +483,8 @@ class _EventState:
 
     def touch(self, idx: int) -> None:
         """Record a mutation of replica ``idx``: its published next-event
-        entry is invalidated and re-pushed, its snapshot marked stale."""
+        entry is invalidated and re-pushed."""
         self.versions[idx] += 1
-        self.dirty.add(idx)
         self.push(idx)
 
     def peek(self) -> tuple:
@@ -586,28 +502,6 @@ class _EventState:
     def pop_head(self) -> None:
         """Consume the (already-peeked) valid head entry."""
         heapq.heappop(self.heap)
-
-    def snapshots(self, live: list[int]) -> list[ReplicaSnapshot]:
-        """Router-facing snapshots for ``live``, rebuilt only where dirty."""
-        snaps = self.snaps
-        dirty = self.dirty
-        replicas = self.replicas
-        out = []
-        for j in live:
-            s = snaps.get(j)
-            if s is None or j in dirty:
-                engine = replicas[j]
-                s = snaps[j] = ReplicaSnapshot(
-                    index=j,
-                    clock=engine.clock,
-                    n_running=engine.n_running,
-                    n_waiting=engine.n_waiting,
-                    free_kv_tokens=engine.free_kv_tokens,
-                    capacity_kv_tokens=engine.kv_cache.capacity_tokens,
-                )
-                dirty.discard(j)
-            out.append(s)
-        return out
 
 
 def _validated_stream(requests):
@@ -640,15 +534,12 @@ class _Pool:
     """One routable replica set of a run: a router over a live index list.
 
     A unified fleet is one arrival pool; a disaggregated fleet adds a
-    decode pool that KV handoffs are routed over. ``base`` is the size
-    the router was built for, restored after the run (autoscaling grows
-    it).
+    decode pool that KV handoffs are routed over.
     """
 
     router: Router
     live: list[int]
     role: str
-    base: int
 
 
 class ServingCluster:
@@ -832,14 +723,9 @@ class ServingCluster:
         pools = []
         for spec, role in specs:
             live = [j for j, r in enumerate(self.roles) if r == role]
-            router = get_router(spec, len(live))
-            if router.n_replicas != len(live):
-                raise ValueError(
-                    f"router built for {router.n_replicas} replicas, "
-                    f"{role} pool has {len(live)}"
-                )
+            router = get_router(spec)
             router.reset()  # instances passed in must behave like fresh ones
-            pools.append(_Pool(router, live, role, len(live)))
+            pools.append(_Pool(router, live, role))
         return pools
 
     def _apply_autoscale(
@@ -859,7 +745,7 @@ class ServingCluster:
         a KV migration in flight toward them from retirement.
         """
         live = pool.live
-        target = self.autoscale.target(state.snapshots(live))
+        target = self.autoscale.target([replicas[j] for j in live])
         while len(live) < target:
             j = len(replicas)
             replicas.append(self._make_engine(pool.role))
@@ -869,7 +755,6 @@ class ServingCluster:
                 replicas[j].tracer = self.tracer
                 replicas[j].trace_replica = j
                 self.tracer.emit(t, -1, "autoscale", "", ("scale-up", j))
-            pool.router.resize(len(replicas))
             state.track_new()
             events.append((t, "scale-up", j))
         if len(live) > target:
@@ -885,10 +770,12 @@ class ServingCluster:
                         self.tracer.emit(t, -1, "autoscale", "", ("scale-down", j))
 
     @staticmethod
-    def _route(pool: _Pool, request: Request, state: _EventState) -> int:
-        """Ask ``pool``'s router for a replica against live snapshots;
+    def _route(
+        pool: _Pool, request: Request, replicas: list[ServingEngine]
+    ) -> int:
+        """Ask ``pool``'s router for a replica against the live engines;
         an answer outside the live pool is rejected loudly."""
-        replica = pool.router.route(request, state.snapshots(pool.live))
+        replica = pool.router.route(request, pool.live, replicas)
         if replica not in pool.live:
             raise ValueError(
                 f"router {pool.router.name!r} returned invalid {pool.role} "
@@ -945,7 +832,7 @@ class ServingCluster:
         scheduling decision at an instant cannot see the future):
 
         * **arrival** — the autoscaler is consulted, then the request is
-          routed over the arrival pool's live snapshots and submitted;
+          routed over the arrival pool's live replicas and submitted;
         * **transfer completion** — a migrated request reaches its decode
           replica (``import_kv``) and becomes schedulable there;
         * **step** — the earliest replica advances one scheduler
@@ -959,12 +846,11 @@ class ServingCluster:
           latency pipelines.
 
         A unified fleet never has a transfer in flight. Event selection
-        is served from a next-event heap and routing snapshots from a
-        delta cache (see :class:`_EventState`), so each event costs
-        O(log replicas) instead of a linear fleet scan. TTFT is decided
-        in the arrival pool (a disaggregated request's first token is
-        produced before export), so interconnect bandwidth moves TPOT and
-        end-to-end latency, never TTFT.
+        is served from a next-event heap (see :class:`_EventState`), so
+        picking the next event costs O(log replicas) instead of a linear
+        fleet scan. TTFT is decided in the arrival pool (a disaggregated
+        request's first token is produced before export), so interconnect
+        bandwidth moves TPOT and end-to-end latency, never TTFT.
 
         ``requests`` may be a list (sorted and validated up front, and
         responses come back in input order) or any other iterable — a
@@ -1012,13 +898,13 @@ class ServingCluster:
             """
             nonlocal link_busy_until
             handoff = replicas[src].export_kv(rid)
-            state.touch(src)  # export released pages: src snapshot is stale
+            state.touch(src)  # export changed src's schedule
             if self.autoscale is not None:
                 self._apply_autoscale(
                     decode, replicas, roles, handoff.export_s, autoscale_events,
                     state, protect=frozenset(tr[2] for tr in transfers),
                 )
-            dest = self._route(decode, handoff.request, state)
+            dest = self._route(decode, handoff.request, replicas)
             cached = replicas[dest].kv_cache.cached_prefix_tokens(
                 handoff.request.prefix_id, handoff.request.prefix_len
             )
@@ -1069,7 +955,7 @@ class ServingCluster:
                         self._sample_fleet_metrics(
                             t, replicas, pools, transfers, link_busy_until
                         )
-                    replica = self._route(arrive, request, state)
+                    replica = self._route(arrive, request, replicas)
                     assignments[request.request_id] = replica
                     if tracer is not None:
                         tracer.emit(t, -1, "route", request.request_id, (replica,))
@@ -1097,8 +983,6 @@ class ServingCluster:
         finally:
             for engine in replicas:
                 engine.abort()
-            for pool in pools:  # reusable instances: undo autoscale growth
-                pool.router.resize(pool.base)
         # A request finishes on exactly one replica: its decode replica,
         # or its arrival replica when it never migrated (a unified fleet,
         # or max_new_tokens == 1). Each replica reports its shard in input
@@ -1127,30 +1011,4 @@ class ServingCluster:
             decode_router=decode.router.name if decode is not None else "",
             roles=roles if decode is not None else [],
             transfers=records,
-        )
-
-    def run_sharded(
-        self,
-        requests: list[Request],
-        n_workers: int | None = None,
-        allow_approximate: bool = False,
-    ) -> FleetResult:
-        """Serve ``requests`` with the fleet partitioned across processes.
-
-        Convenience wrapper over :func:`repro.serve.shard.run_sharded`:
-        routes every request at plan time, runs each replica's shard in
-        its own worker process, and merges deterministically. For
-        shardable routers (``round-robin``, ``least-kv-load``,
-        ``prefix-affinity``) the merged :class:`FleetResult` is
-        bit-identical to :meth:`run`; load-feedback routers require
-        ``allow_approximate=True``. See :mod:`repro.serve.shard` for the
-        full determinism contract.
-        """
-        from .shard import run_sharded
-
-        return run_sharded(
-            self,
-            requests,
-            n_workers=n_workers,
-            allow_approximate=allow_approximate,
         )

@@ -49,32 +49,19 @@ from .recipe import AUTO, as_recipe
 __all__ = [
     "PagedKVCache",
     "kv_token_bytes",
-    "format_kv_bits",
     "KVTransfer",
     "INTERCONNECTS",
     "get_interconnect",
 ]
 
 
-def format_kv_bits(fmt: str) -> float:
-    """Average storage bits per KV element for format name ``fmt``.
-
-    Delegates to :func:`repro.gpu.spec.format_storage_bits` — the shared
-    lookup (the baseline float widths, then the format registry) — with
-    unknown names raising ``KeyError``.
-
-    >>> format_kv_bits("bf16"), format_kv_bits("mxfp4"), format_kv_bits("mxfp4+")
-    (16.0, 4.25, 4.5)
-    """
-    return format_storage_bits(fmt)
-
-
 def kv_token_bytes(arch: ArchSpec, recipe_or_fmt) -> float:
     """KV-cache bytes per resident token for one architecture + KV format.
 
     One token keeps a key and a value vector (``n_kv_heads * head_dim``
-    each) per layer; the per-element width comes from the recipe's
-    resolved KV format (:attr:`repro.serve.QuantRecipe.kv_format`);
+    each) per layer; the per-element width is
+    :func:`repro.gpu.spec.format_storage_bits` of the recipe's resolved
+    KV format (:attr:`repro.serve.QuantRecipe.kv_format`);
     ``recipe_or_fmt`` is a recipe, a recipe name or a format name (see
     :func:`repro.serve.recipe.as_recipe`). For a mixed-precision recipe
     with ``kv="auto"`` the cache is stored per layer in that layer's own
@@ -94,9 +81,9 @@ def kv_token_bytes(arch: ArchSpec, recipe_or_fmt) -> float:
     if recipe.layer_overrides and recipe.kv == AUTO:
         spread = recipe.spread_overrides(arch.n_layers)
         return per_layer_bytes * sum(
-            format_kv_bits(spread.get(i, fmt)) for i in range(arch.n_layers)
+            format_storage_bits(spread.get(i, fmt)) for i in range(arch.n_layers)
         )
-    return per_layer_bytes * arch.n_layers * format_kv_bits(fmt)
+    return per_layer_bytes * arch.n_layers * format_storage_bits(fmt)
 
 
 @dataclass(slots=True)

@@ -2,7 +2,7 @@
 
 :class:`~repro.serve.ServingCluster`'s global event loop is exact but
 serial — one Python process walks every replica's steps in virtual-time
-order. For *snapshot-blind* routers that serialization is unnecessary:
+order. For *state-blind* routers that serialization is unnecessary:
 the routing decision for every request can be computed up front (it
 depends only on the request sequence, never on live replica state), and
 once each request knows its replica, every replica's trajectory is
@@ -30,18 +30,15 @@ That turns the fleet simulation into an embarrassingly parallel map:
 **Determinism contract.** For routers in :data:`SHARDABLE_ROUTERS`
 (``round-robin``, ``least-kv-load``, ``prefix-affinity``) the merged
 :class:`~repro.serve.FleetResult` is **bit-identical** to
-``cluster.run(requests)``: these routers never read the
-:class:`~repro.serve.ReplicaSnapshot` contents, so plan-time routing
-equals event-loop routing, and each engine's virtual-time trajectory
-depends only on its own shard. The load-feedback routers
-(``queue-depth``, ``free-kv-at-arrival``) *do* read live state that only
-exists mid-simulation; sharding them (``allow_approximate=True``) uses
-their documented snapshot-free fallback heuristics — deterministic and
-reproducible, but not the same assignment the global loop would make.
+``cluster.run(requests)``: these routers never read the replicas' live
+state, so plan-time routing equals event-loop routing, and each
+engine's virtual-time trajectory depends only on its own shard.
 
-Autoscaling and disaggregated prefill/decode clusters couple replicas
-through global state (fleet size, the shared transfer link) and are
-rejected — use ``cluster.run``.
+The load-feedback routers (``queue-depth``, ``free-kv-at-arrival``)
+read live state that only exists mid-simulation, and autoscaling and
+disaggregated prefill/decode clusters couple replicas through global
+state (fleet size, the shared transfer link); all three are rejected —
+use ``cluster.run``.
 """
 
 from __future__ import annotations
@@ -58,9 +55,9 @@ __all__ = [
     "run_sharded",
 ]
 
-# Routers whose route() never reads ReplicaSnapshot contents: plan-time
-# routing (replicas=None) is identical to event-loop routing, so their
-# sharded results are bit-identical to the global loop's.
+# Routers whose route() never reads the replicas' live state: plan-time
+# routing over the idle fleet is identical to event-loop routing, so
+# their sharded results are bit-identical to the global loop's.
 SHARDABLE_ROUTERS = frozenset({"round-robin", "least-kv-load", "prefix-affinity"})
 
 
@@ -70,18 +67,29 @@ def plan_shards(
     """Partition ``requests`` by router decision at plan time.
 
     Routes every request in arrival order — exactly the order the global
-    event loop routes them — against ``replicas=None``, so for
-    snapshot-blind routers the assignment map equals the one
+    event loop routes them — over the idle fleet (every replica live,
+    ``cluster.engines`` as the replicas), so for the routers in
+    :data:`SHARDABLE_ROUTERS` the assignment map equals the one
     ``cluster.run`` would produce. Returns ``(shards, assignments)``
     where ``shards[j]`` lists replica ``j``'s requests in *input* order
     (the order :meth:`ServingEngine.collect
-    <repro.serve.ServingEngine.collect>` reports them in).
+    <repro.serve.ServingEngine.collect>` reports them in). Routers
+    outside :data:`SHARDABLE_ROUTERS` raise ``ValueError``: on the idle
+    fleet they would see no load at all.
     """
-    router = get_router(cluster._router_spec, cluster.n_replicas)
+    router = get_router(cluster._router_spec)
+    if router.name not in SHARDABLE_ROUTERS:
+        raise ValueError(
+            f"router {router.name!r} reads live replica state that only "
+            "exists mid-simulation — use cluster.run()"
+        )
     router.reset()
+    live = list(range(cluster.n_replicas))
     assignments: dict[str, int] = {}
     for request in arrival_order(requests):
-        assignments[request.request_id] = router.route(request, None)
+        assignments[request.request_id] = router.route(
+            request, live, cluster.engines
+        )
     shards: list[list[Request]] = [[] for _ in range(cluster.n_replicas)]
     for request in requests:
         shards[assignments[request.request_id]].append(request)
@@ -118,7 +126,6 @@ def run_sharded(
     cluster: ServingCluster,
     requests: list[Request],
     n_workers: int | None = None,
-    allow_approximate: bool = False,
     tracer=None,
 ) -> FleetResult:
     """Run ``cluster``'s fleet simulation sharded across processes.
@@ -132,10 +139,9 @@ def run_sharded(
     ``n_workers`` defaults to ``min(n_replicas, cpu_count)``;
     ``n_workers <= 1`` runs the shards in-process (same merge path, no
     pickling) which is also the fallback for numeric-mode clusters.
-    Load-feedback routers require ``allow_approximate=True`` and use
-    their snapshot-free fallbacks. Autoscaling and disaggregated
-    clusters are rejected — their replicas are coupled through global
-    state that sharding cannot preserve.
+    Routers outside :data:`SHARDABLE_ROUTERS`, autoscaling and
+    disaggregated clusters are rejected — they read or couple live
+    replica state that sharding cannot preserve.
 
     ``tracer`` (a :class:`repro.obs.Tracer`, default
     ``cluster.tracer``) extends the determinism contract to traces:
@@ -155,13 +161,6 @@ def run_sharded(
         raise ValueError(
             "autoscaling reacts to fleet-wide state; sharded replicas "
             "cannot observe each other — use cluster.run()"
-        )
-    router_name = get_router(cluster._router_spec, cluster.n_replicas).name
-    if router_name not in SHARDABLE_ROUTERS and not allow_approximate:
-        raise ValueError(
-            f"router {router_name!r} reads live replica state; sharded "
-            "routing uses its snapshot-free fallback and diverges from "
-            "cluster.run() — pass allow_approximate=True to accept that"
         )
     if tracer is None:
         tracer = getattr(cluster, "tracer", None)
@@ -205,7 +204,7 @@ def run_sharded(
         responses=[by_id[r.request_id] for r in requests],
         replica_results=results,
         assignments=assignments,
-        router=router_name,
+        router=get_router(cluster._router_spec).name,
         scheduler=cluster.engines[0].scheduler.name,
         autoscale_events=[],
     )

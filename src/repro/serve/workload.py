@@ -161,31 +161,22 @@ def make_workload(
 
     ``arrival`` is ``"poisson"`` or ``"bursty"``; lengths default to a
     heavy-tailed lognormal prompt (median 256) and uniform 16-128 output.
-    The same ``(n, seed, ...)`` spec always yields the identical list.
+    The same ``(n, seed, ...)`` spec always yields the identical list:
+    :func:`iter_workload` drawn as one chunk.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    prompt = prompt or LengthDist.lognormal(median=256, sigma=0.7, low=16, high=4096)
-    output = output or LengthDist.uniform(16, 128)
-    rng = np.random.default_rng(seed)
-    if arrival == "poisson":
-        times = poisson_arrivals(n, rate_rps, rng)
-    elif arrival == "bursty":
-        times = bursty_arrivals(n, rate_rps, rng, burst_size=burst_size)
-    else:
-        raise ValueError(f"unknown arrival process {arrival!r}")
-    prompts = prompt.sample(rng, n)
-    outputs = output.sample(rng, n)
-    width = max(4, len(str(n - 1)))
-    return [
-        Request(
-            request_id=f"{id_prefix}{i:0{width}d}",
-            prompt_len=int(prompts[i]),
-            max_new_tokens=int(outputs[i]),
-            arrival_s=float(times[i]),
+    return list(
+        iter_workload(
+            n,
+            seed=seed,
+            arrival=arrival,
+            rate_rps=rate_rps,
+            prompt=prompt,
+            output=output,
+            burst_size=burst_size,
+            id_prefix=id_prefix,
+            chunk_size=max(n, 1),
         )
-        for i in range(n)
-    ]
+    )
 
 
 def iter_workload(
@@ -234,14 +225,14 @@ def iter_workload(
                 m, rate_rps, rng, burst_size=burst_size, start_s=start
             )
         start = float(times[-1])  # next chunk arrives strictly after
-        prompts = prompt.sample(rng, m)
-        outputs = output.sample(rng, m)
-        for i in range(m):
+        prompts = prompt.sample(rng, m).tolist()
+        outputs = output.sample(rng, m).tolist()
+        for i, t in enumerate(times.tolist()):
             yield Request(
                 request_id=f"{id_prefix}{lo + i:0{width}d}",
-                prompt_len=int(prompts[i]),
-                max_new_tokens=int(outputs[i]),
-                arrival_s=float(times[i]),
+                prompt_len=prompts[i],
+                max_new_tokens=outputs[i],
+                arrival_s=t,
             )
 
 

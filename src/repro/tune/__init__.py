@@ -6,7 +6,7 @@ time, the tuner searches the per-layer/per-role format design space and
 returns a quality/cost Pareto frontier, wired end to end:
 
 1. :mod:`~repro.tune.sensitivity` measures each role's perplexity damage
-   per format on the real numeric model path (cached, resumable);
+   per format on the real numeric model path;
 2. :mod:`~repro.tune.cost` prices any candidate with the serving stack's
    own step-time and KV-footprint models;
 3. :mod:`~repro.tune.search` runs deterministic greedy bit-descent plus a
@@ -120,7 +120,6 @@ def autotune(
     greedy: bool = True,
     evolution: bool = True,
     max_ppl: float | None = None,
-    cache: bool = True,
     register: bool = False,
     verbose: bool = False,
 ) -> TuneResult:
@@ -143,7 +142,6 @@ def autotune(
         kv_formats=tuple(fmt for fmt in kv_formats if fmt != "bf16"),
         batch=batch,
         seq_len=seq_len,
-        cache=cache,
         verbose=verbose,
     )
 

@@ -15,20 +15,17 @@ search surrogate, cf. NxFP's per-tensor sweeps), which the searchers in
 :mod:`repro.tune.search` rank candidates with before spending a real
 measurement.
 
-Profiles are cached as JSON under the model cache directory, keyed by the
-model's training fingerprint and the evaluation protocol, and the cache is
-*resumable*: an interrupted profile keeps every finished cell.
+Profiles are measured afresh on every call: each cell depends on the
+model weights *and* on what every format's codec computes, so no on-disk
+key short of the codec itself could say when a stored cell went stale.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..eval.perplexity import perplexity
-from ..models.zoo import PROFILES, _profile_key, cache_dir, get_corpus, load_model
+from ..models.zoo import PROFILES, get_corpus, load_model
 from ..serve.recipe import BF16, QuantRecipe
 
 __all__ = [
@@ -139,7 +136,7 @@ class SensitivityReport:
 
     # ------------------------------------------------------------------
     def to_payload(self) -> dict:
-        """JSON view of the report (the resumable cache format)."""
+        """JSON view of the report."""
         return {
             "model": self.model,
             "corpus": self.corpus,
@@ -189,28 +186,15 @@ def probe_recipe(role: str, fmt: str, n_layers: int) -> QuantRecipe:
     raise KeyError(f"unknown sensitivity role {role!r}")
 
 
-def _cache_key(
-    model: str, formats: tuple, kv_formats: tuple, batch: int, seq_len: int
-) -> str:
-    profile = PROFILES[model]
-    payload = json.dumps(
-        [model, _profile_key(profile), sorted(formats), sorted(kv_formats),
-         batch, seq_len]
-    )
-    return hashlib.sha1(payload.encode()).hexdigest()[:12]
-
-
 def profile_sensitivity(
     model: str = "test-tiny",
     formats: tuple = DEFAULT_PROFILE_FORMATS,
     kv_formats: tuple | None = None,
     batch: int = 16,
     seq_len: int = 128,
-    cache: bool = True,
-    cache_path=None,
     verbose: bool = False,
 ) -> SensitivityReport:
-    """Measure (or load) the per-role sensitivity grid.
+    """Measure the per-role sensitivity grid.
 
     Layer and LM-head roles are profiled under ``formats``; the KV role
     under ``kv_formats`` — defaulting to
@@ -221,9 +205,7 @@ def profile_sensitivity(
     from its own ladder, so profiling the cross product would spend real
     model evaluations on cells nothing reads. Each cell is one
     perplexity evaluation of the real model on its held-out corpus,
-    seeded and deterministic. With ``cache`` the grid persists next to
-    the trained model weights and partial results are reused cell by
-    cell, so an interrupted profile resumes instead of restarting.
+    seeded and deterministic.
     """
     formats = tuple(dict.fromkeys(formats))  # stable de-dup
     if kv_formats:
@@ -239,21 +221,6 @@ def profile_sensitivity(
     lm = load_model(model)
     corpus = get_corpus(profile.corpus, profile.train_tokens)
     n_layers = lm.config.n_layers
-
-    path = Path(cache_path) if cache_path else (
-        cache_dir()
-        / f"tune-sensitivity-{model}-{_cache_key(model, formats, kv_formats, batch, seq_len)}.json"
-    )
-    cells: dict = {}
-    baseline_ppl = None
-    if cache and path.exists():
-        stored = json.loads(path.read_text())
-        cells = {r: dict(c) for r, c in stored.get("cells", {}).items()}
-        baseline_ppl = stored.get("baseline_ppl")
-
-    if baseline_ppl is None:
-        baseline_ppl = perplexity(lm, corpus, "bf16", batch=batch, seq_len=seq_len)
-
     report = SensitivityReport(
         model=model,
         corpus=profile.corpus,
@@ -262,23 +229,14 @@ def profile_sensitivity(
         n_layers=n_layers,
         formats=formats,
         kv_formats=kv_formats,
-        baseline_ppl=baseline_ppl,
-        cells=cells,
+        baseline_ppl=perplexity(lm, corpus, "bf16", batch=batch, seq_len=seq_len),
+        cells={},
     )
-
-    dirty = False
     for role in report.roles:
-        row = cells.setdefault(role, {})
+        row = report.cells[role] = {}
         for fmt in report.role_formats(role):
-            if fmt in row:
-                continue
             recipe = probe_recipe(role, fmt, n_layers)
             row[fmt] = perplexity(lm, corpus, recipe, batch=batch, seq_len=seq_len)
-            dirty = True
             if verbose:  # pragma: no cover - progress chatter
                 print(f"[tune] {model} {role:>8s} {fmt:>10s}: ppl {row[fmt]:.3f}")
-            if cache:  # persist after every cell: the profile is resumable
-                path.write_text(json.dumps(report.to_payload(), indent=2, sort_keys=True))
-    if cache and dirty:
-        path.write_text(json.dumps(report.to_payload(), indent=2, sort_keys=True))
     return report

@@ -33,6 +33,10 @@ def _requests(n=8, prompt=128, out=8):
     ]
 
 
+def _engines(n):
+    return ServingCluster(ARCH, "mxfp4", n_replicas=n, kv_token_budget=8192).engines
+
+
 class TestRouters:
     def test_registry(self):
         assert available_routers() == [
@@ -42,51 +46,55 @@ class TestRouters:
             "queue-depth",
             "round-robin",
         ]
-        assert isinstance(get_router("round-robin", 2), RoundRobinRouter)
-        router = LeastKVLoadRouter(3)
-        assert get_router(router, 3) is router
+        assert isinstance(get_router("round-robin"), RoundRobinRouter)
+        router = LeastKVLoadRouter()
+        assert get_router(router) is router
         with pytest.raises(KeyError, match="unknown router"):
-            get_router("random", 2)
+            get_router("random")
 
     def test_round_robin_cycles(self):
-        router = RoundRobinRouter(3)
-        assert [router.route(r) for r in _requests(7)] == [0, 1, 2, 0, 1, 2, 0]
+        router, engines = RoundRobinRouter(), _engines(3)
+        assert [router.route(r, [0, 1, 2], engines) for r in _requests(7)] == [
+            0, 1, 2, 0, 1, 2, 0
+        ]
 
     def test_least_load_ties_break_to_lowest_index(self):
-        router = LeastKVLoadRouter(4)
+        router, engines = LeastKVLoadRouter(), _engines(4)
         # All loads equal at every step until each replica has one request.
-        assert [router.route(r) for r in _requests(4)] == [0, 1, 2, 3]
+        live = list(range(4))
+        assert [router.route(r, live, engines) for r in _requests(4)] == [0, 1, 2, 3]
 
     def test_least_load_prefers_lighter_replica(self):
-        router = LeastKVLoadRouter(2)
+        router, engines = LeastKVLoadRouter(), _engines(2)
         heavy = Request("h", prompt_len=4096, max_new_tokens=512)
         light = Request("l", prompt_len=32, max_new_tokens=8)
-        assert router.route(heavy) == 0
-        assert router.route(light) == 1
+        assert router.route(heavy, [0, 1], engines) == 0
+        assert router.route(light, [0, 1], engines) == 1
         # replica 1 is still lighter: 40 < 4608
-        assert router.route(Request("m", prompt_len=64, max_new_tokens=8)) == 1
+        medium = Request("m", prompt_len=64, max_new_tokens=8)
+        assert router.route(medium, [0, 1], engines) == 1
 
     def test_prefix_affinity_sticks(self):
-        router = PrefixAffinityRouter(3)
+        router, engines = PrefixAffinityRouter(), _engines(3)
         reqs = [
             Request(f"c{i}", prompt_len=256, max_new_tokens=8,
                     prefix_id=f"sys-{i % 2}", prefix_len=128)
             for i in range(6)
         ]
-        homes = [router.route(r) for r in reqs]
+        homes = [router.route(r, [0, 1, 2], engines) for r in reqs]
         assert homes[0::2] == [homes[0]] * 3  # sys-0 pinned
         assert homes[1::2] == [homes[1]] * 3  # sys-1 pinned
         assert homes[0] != homes[1]
 
     def test_prefix_affinity_falls_back_for_plain_requests(self):
-        router = PrefixAffinityRouter(2)
-        assert router.route(Request("a", prompt_len=64)) == 0
-        assert router.route(Request("b", prompt_len=64)) == 1
+        router, engines = PrefixAffinityRouter(), _engines(2)
+        assert router.route(Request("a", prompt_len=64), [0, 1], engines) == 0
+        assert router.route(Request("b", prompt_len=64), [0, 1], engines) == 1
 
     def test_router_instance_reset_between_runs(self):
         # A router *instance* must behave like a fresh one on every run.
         reqs = _requests(5)
-        router = RoundRobinRouter(2)
+        router = RoundRobinRouter()
         cluster = ServingCluster(ARCH, "mxfp4", n_replicas=2, router=router,
                                  kv_token_budget=16_384)
         first = cluster.run(reqs).assignments

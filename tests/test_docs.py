@@ -20,7 +20,6 @@ import repro.bench.report
 import repro.gpu.inference
 import repro.obs.export
 import repro.obs.metrics
-import repro.obs.record
 import repro.obs.trace
 import repro.serve
 import repro.serve.cluster
@@ -56,7 +55,6 @@ DOCTEST_MODULES = [
     repro.obs.trace,
     repro.obs.metrics,
     repro.obs.export,
-    repro.obs.record,
 ]
 
 #: Markdown pages whose ``>>>`` snippets must run (tutorial doctests).

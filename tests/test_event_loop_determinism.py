@@ -31,6 +31,7 @@ from repro.serve import (
     SHARDABLE_ROUTERS,
     AutoscalePolicy,
     ServingCluster,
+    available_routers,
     available_schedulers,
     make_workload,
     run_sharded,
@@ -113,16 +114,16 @@ class TestShardedEquivalence:
         }
         assert len(fingerprints) == 1
 
-    def test_load_feedback_routers_need_opt_in(self):
+    def test_load_feedback_routers_refused(self):
+        # Routers that read live replica state cannot be routed at plan
+        # time; sharding refuses them rather than diverge from run().
         reqs = make_workload(8, seed=0, rate_rps=50.0)
-        cluster = _cluster("queue-depth", "prefill-first", 2)
-        with pytest.raises(ValueError, match="allow_approximate"):
-            run_sharded(cluster, reqs)
-        # Opted in: deterministic (repeat runs identical), just not the
-        # same assignment the live loop would make.
-        a = run_sharded(cluster, reqs, n_workers=2, allow_approximate=True)
-        b = run_sharded(cluster, reqs, n_workers=2, allow_approximate=True)
-        assert _fingerprint(a) == _fingerprint(b)
+        refused = set(available_routers()) - SHARDABLE_ROUTERS
+        assert refused  # the load-feedback routers
+        for router in sorted(refused):
+            cluster = _cluster(router, "prefill-first", 2)
+            with pytest.raises(ValueError, match="live replica state"):
+                run_sharded(cluster, reqs)
 
     def test_autoscale_and_disagg_rejected(self):
         reqs = make_workload(4, seed=0)

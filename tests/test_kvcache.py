@@ -12,7 +12,6 @@ from repro.serve import (
     QuantRecipe,
     Request,
     ServingEngine,
-    format_kv_bits,
     get_recipe,
     kv_token_bytes,
 )
@@ -22,14 +21,14 @@ ARCH = ARCHS["llama-2-13b"]
 
 class TestByteAccounting:
     def test_format_bits_calibrated_table(self):
-        assert format_kv_bits("bf16") == 16.0
-        assert format_kv_bits("mxfp4") == 4.25
-        assert format_kv_bits("mxfp4+") == 4.5
+        assert format_storage_bits("bf16") == 16.0
+        assert format_storage_bits("mxfp4") == 4.25
+        assert format_storage_bits("mxfp4+") == 4.5
 
     def test_format_bits_fallback_to_encoder(self):
         # Only the baseline floats are in FORMAT_BITS; every registered
         # format's width is its encoder's bits_per_element().
-        assert format_kv_bits("mxint8") == pytest.approx(8.25)
+        assert format_storage_bits("mxint8") == pytest.approx(8.25)
         assert set(FORMAT_BITS) == {"bf16", "fp16", "fp32"}
         for name in available_formats():
             assert format_storage_bits(name) == get_format(name).bits_per_element()

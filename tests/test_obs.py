@@ -32,7 +32,6 @@ from hypothesis import strategies as st
 from repro.gpu.inference import step_time_cache_info
 from repro.models.zoo import ARCHS
 from repro.obs import (
-    FlightRecorder,
     MetricsRegistry,
     Span,
     TraceEvent,
@@ -214,18 +213,21 @@ class TestValidator:
 
 class TestPrimitives:
     def test_flight_recorder_ring(self):
-        rec = FlightRecorder(capacity=3)
+        t = Tracer(capacity=3)
         for i in range(10):
-            rec.append(i)
-        assert list(rec) == [7, 8, 9]
-        assert rec.appended == 10 and rec.dropped == 7
+            t.emit(float(i), 0, "arrive", f"r{i}")
+        assert [e.req for e in t.raw_events()] == ["r7", "r8", "r9"]
+        assert t.appended == 10 and t.dropped == 7
+        with pytest.raises(ValueError, match="capacity"):
+            Tracer(capacity=0)
 
     @given(st.lists(st.integers(), max_size=50))
     def test_flight_recorder_unbounded_is_a_list(self, items):
-        rec = FlightRecorder()
+        t = Tracer()
         for item in items:
-            rec.append(item)
-        assert list(rec) == items and rec.dropped == 0
+            t.emit(0.0, 0, "step", "", (item,))
+        assert [e.data[0] for e in t.raw_events()] == items
+        assert t.capacity is None and t.dropped == 0
 
     def test_capped_tracer_keeps_newest_events(self):
         t = Tracer(capacity=2)

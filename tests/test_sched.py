@@ -437,8 +437,8 @@ class TestLiveRouters:
         # Replica 0 decodes a long request for ~0.9s; short requests
         # trickle in one at a time, each finishing before the next
         # arrives. The live router sees queues (1, 0) at every arrival
-        # and sends all of them to replica 1; its static no-snapshot
-        # fallback (least-assigned) would alternate instead.
+        # and sends all of them to replica 1; a static least-assigned
+        # policy would alternate instead.
         reqs = [
             Request("long", prompt_len=2048, max_new_tokens=256),
             Request("warm", prompt_len=64, max_new_tokens=1, arrival_s=0.001),
@@ -453,18 +453,6 @@ class TestLiveRouters:
         ).run(reqs)
         assert fleet.assignments["long"] == 0
         assert all(fleet.assignments[f"late-{i}"] == 1 for i in range(4))
-
-    def test_routers_work_without_snapshots(self):
-        from repro.serve import FreeKVAtArrivalRouter, QueueDepthRouter
-
-        qd = QueueDepthRouter(2)
-        assert [qd.route(r) for r in _mixed_requests(4)] == [0, 1, 0, 1]
-        fk = FreeKVAtArrivalRouter(2)
-        heavy = Request("h", prompt_len=4096, max_new_tokens=512)
-        light = Request("l", prompt_len=32, max_new_tokens=8)
-        assert fk.route(heavy) == 0
-        assert fk.route(light) == 1
-        assert fk.route(Request("m", prompt_len=64, max_new_tokens=8)) == 1
 
 
 class TestAutoscale:
@@ -509,13 +497,12 @@ class TestAutoscale:
     def test_router_instance_resized_back_after_run(self):
         from repro.serve import RoundRobinRouter
 
-        router = RoundRobinRouter(1)
+        router = RoundRobinRouter()
         reqs = make_workload(16, seed=4, rate_rps=2000.0,
                              arrival="bursty", burst_size=16)
         policy = AutoscalePolicy(max_replicas=3, scale_up_queue_depth=3)
         cluster = ServingCluster(ARCH, "mxfp4", n_replicas=1, router=router,
                                  kv_token_budget=8192, autoscale=policy)
         first = cluster.run(reqs)
-        assert router.n_replicas == 1  # restored for reuse
         second = cluster.run(reqs)
         assert first.assignments == second.assignments

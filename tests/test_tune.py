@@ -324,6 +324,29 @@ class TestSensitivityReport:
         assert clone == report
 
 
+class TestProfileSensitivity:
+    def test_profile_follows_what_the_format_computes(self):
+        # A profile is a function of the codec, not of the format's name:
+        # re-registering a name under another element codec must move
+        # the measured perplexity.
+        from repro.core.elem import E2M1, E2M3
+        from repro.core.mx import MXFormat
+        from repro.core.registry import _REGISTRY, register_format
+        from repro.tune import profile_sensitivity
+
+        name = "test-sens-fmt"
+        kwargs = dict(formats=(name,), kv_formats=(name,), batch=4, seq_len=64)
+        try:
+            register_format(name, lambda: MXFormat(E2M1, name=name))
+            fp4 = profile_sensitivity("test-tiny", **kwargs)
+            register_format(name, lambda: MXFormat(E2M3, name=name), overwrite=True)
+            fp6 = profile_sensitivity("test-tiny", **kwargs)
+        finally:
+            _REGISTRY.pop(name, None)
+        assert fp4.baseline_ppl == fp6.baseline_ppl
+        assert fp6.cells["layer:0"][name] < fp4.cells["layer:0"][name]
+
+
 class TestProbeRecipe:
     def test_probe_shapes(self):
         r = probe_recipe("layer:1", "mxfp4", 2)
