@@ -35,13 +35,15 @@ from .pricing import GIB, price_cell
 __all__ = ["execute_run", "run_sweep"]
 
 
-def _build_cluster(spec: RunSpec) -> ServingCluster:
+def _build_cluster(spec: RunSpec, tracer=None, metrics=None) -> ServingCluster:
     """The fleet one cell describes (unified or disaggregated pools)."""
     shape = spec.fleet_shape
     kwargs: dict = {
         "scheduler": spec.scheduler,
         "page_budget_bytes": float(spec.page_budget_gib * GIB),
         "block_tokens": spec.block_tokens,
+        "tracer": tracer,
+        "metrics": metrics,
     }
     if shape.disaggregated:
         kwargs.update(
@@ -72,17 +74,12 @@ def execute_run(spec: RunSpec, trace_path=None) -> dict:
     byte-identical in the aggregate.
     """
     requests = build_workload(spec.workload, spec.n_requests, spec.seed)
-    cluster = _build_cluster(spec)
     tracer = metrics = None
     if trace_path is not None:
         from ..obs import MetricsRegistry, Tracer
 
-        tracer = cluster.tracer = Tracer()
-        metrics = cluster.metrics = MetricsRegistry()
-        for i, engine in enumerate(cluster.engines):
-            engine.tracer = tracer
-            engine.trace_replica = i
-    fleet = cluster.run(requests)
+        tracer, metrics = Tracer(), MetricsRegistry()
+    fleet = _build_cluster(spec, tracer, metrics).run(requests)
     if trace_path is not None:
         from ..obs import write_chrome_trace
 

@@ -24,19 +24,8 @@ __all__ = [
     "get_format",
     "available_formats",
     "register_format",
-    "registry_version",
     "suggest_near_misses",
 ]
-
-#: bumped on every (re)registration so downstream memo caches (storage
-#: bits, KV bits) can key on it instead of going stale.
-_REGISTRY_VERSION = 0
-
-
-def registry_version() -> int:
-    """Monotone counter incremented by :func:`register_format`."""
-    return _REGISTRY_VERSION
-
 
 def suggest_near_misses(name: str, candidates: list[str]) -> str:
     """``" — did you mean ...?"`` hint for error messages (or ``""``)."""
@@ -98,8 +87,6 @@ def register_format(
             f"format {name!r} is already registered; "
             "pass overwrite=True to replace it"
         )
-    global _REGISTRY_VERSION
-    _REGISTRY_VERSION += 1
     _REGISTRY[key] = factory
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ..models.zoo import ArchSpec
-from .kernels import GemmShape, gemm_time
+from .kernels import _resolve, _roofline
 from .spec import GPUSpec, RTX5090
 
 __all__ = [
@@ -112,9 +112,13 @@ class StepPricer:
     """The step roofline for one ``(spec, arch, recipe)``, with its own memos.
 
     Everything that does not depend on the step is bound once at
-    construction: the formats, the MX+ flags, ``kv_dim`` and the layer
-    overrides spread onto physical layers. Construction prices nothing;
-    the memos fill on first use and belong to this instance:
+    construction: each layer variant's MMA rates and operand widths
+    (activations, weights, KV, LM head — read off the registered formats
+    by :meth:`GPUSpec.tc_macs_per_s` and :func:`format_storage_bits`),
+    the MX+ flags, ``kv_dim`` and the layer overrides spread onto
+    physical layers, so a miss prices without a format lookup.
+    Construction prices nothing; the memos fill on first use and belong
+    to this instance:
 
     * ``rows`` — per total row count ``m``, the seven-projection stack of
       every layer variant (the base layer, then each override format in
@@ -155,22 +159,33 @@ class StepPricer:
             # Uniform recipes keep the recipe's flags verbatim (the
             # calibrated Figure 11-13 behavior).
             base_flags = head_flags = (software, hardware)
-        #: the LM head as a variant: the base activations against head_fmt
-        self._head = (act, head_fmt, "", *head_flags)
-        # Layer variants as (act, weight, kv, software, hardware): the base
-        # layer first, then one per override format in first-appearance
-        # order; kv="auto" follows a layer's own activation format, so an
-        # overridden layer's attention is priced at its override (the same
-        # semantics QuantRecipe.to_context gives the numeric path).
+        tile = recipe.min_tile_m
+        #: the LM head's roofline operands: base activations x head_fmt
+        self._head = _resolve(spec, act, head_fmt, *head_flags, tile)
+        # Layer variants as (projection, attention) roofline operands: the
+        # base layer first, then one per override format in first-
+        # appearance order; kv="auto" follows a layer's own activation
+        # format, so an overridden layer's attention is priced at its
+        # override (the same semantics QuantRecipe.to_context gives the
+        # numeric path).
         kv = None if recipe.kv == AUTO else recipe.kv
-        self._variants = [(act, weight, kv or act, *base_flags)]
+        self._variants = [
+            (
+                _resolve(spec, act, weight, *base_flags, tile),
+                _resolve(spec, act, kv or act, *base_flags, tile),
+            )
+        ]
         index = {}
         overrides = []
         for fmt in recipe.spread_overrides(arch.n_layers).values():
             if fmt not in index:
                 index[fmt] = len(self._variants)
+                flags = (software and "+" in fmt, hardware and "+" in fmt)
                 self._variants.append(
-                    (fmt, fmt, kv or fmt, software and "+" in fmt, hardware and "+" in fmt)
+                    (
+                        _resolve(spec, fmt, fmt, *flags, tile),
+                        _resolve(spec, fmt, kv or fmt, *flags, tile),
+                    )
                 )
             overrides.append(index[fmt])
         #: variant index of every overridden physical layer, in spread order
@@ -181,37 +196,25 @@ class StepPricer:
         self.attention_lookups = self.attention_misses = 0
         _PRICERS.add(self)
 
-    def _gemm(self, variant: tuple, shape: GemmShape, b_fmt: str) -> float:
-        act_fmt, _weight, _kv, software, hardware = variant
-        return gemm_time(
-            self.spec,
-            shape,
-            a_fmt=act_fmt,
-            b_fmt=b_fmt,
-            mxplus_software=software,
-            mxplus_hardware=hardware,
-            min_tile_m=self.recipe.min_tile_m,
-        )
-
     def _price_rows(self, m: int) -> tuple:
         """Miss path of the rows memo: every variant's projection stack
         (Q, K, V, O, gate, up, down, summed in that order), then the head."""
         arch, kv_dim = self.arch, self._kv_dim
-        shapes = (
-            GemmShape(m, arch.dim, arch.dim),  # Q proj
-            GemmShape(m, kv_dim, arch.dim),  # K proj
-            GemmShape(m, kv_dim, arch.dim),  # V proj
-            GemmShape(m, arch.dim, arch.dim),  # O proj
-            GemmShape(m, arch.hidden, arch.dim),  # gate
-            GemmShape(m, arch.hidden, arch.dim),  # up
-            GemmShape(m, arch.dim, arch.hidden),  # down
+        dims = (  # (n, k) of each projection
+            (arch.dim, arch.dim),  # Q proj
+            (kv_dim, arch.dim),  # K proj
+            (kv_dim, arch.dim),  # V proj
+            (arch.dim, arch.dim),  # O proj
+            (arch.hidden, arch.dim),  # gate
+            (arch.hidden, arch.dim),  # up
+            (arch.dim, arch.hidden),  # down
         )
         stack = [
-            sum(self._gemm(v, shape, v[1]) for shape in shapes)
-            for v in self._variants
+            sum(_roofline(m, n, k, *proj) for n, k in dims)
+            for proj, _attention in self._variants
         ]
-        head = self._head  # LM head, once per forward
-        stack.append(self._gemm(head, GemmShape(m, arch.vocab, arch.dim), head[1]))
+        # LM head, once per forward
+        stack.append(_roofline(m, arch.vocab, arch.dim, *self._head))
         stack = tuple(stack)
         self.rows_misses += 1
         if len(self._rows) >= ROWS_MEMO_CAP:
@@ -223,11 +226,11 @@ class StepPricer:
         """Miss path of variant ``v``'s attention memo: the score
         (rows x ctx) and value (rows x dim over ctx) gemms, whose K/V
         operands stream from the KV cache in the layer's KV format."""
-        variant = self._variants[v]
+        attention = self._variants[v][1]
         dim = self.arch.dim
         pair = (
-            self._gemm(variant, GemmShape(rows, ctx, dim), variant[2]),
-            self._gemm(variant, GemmShape(rows, dim, ctx), variant[2]),
+            _roofline(rows, ctx, dim, *attention),
+            _roofline(rows, dim, ctx, *attention),
         )
         self.attention_misses += 1
         memo = self._attention[v]

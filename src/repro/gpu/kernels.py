@@ -41,10 +41,59 @@ class GemmShape:
         return float(self.m) * self.n * self.k
 
 
-def _storage_bits(fmt: str) -> float:
-    """Traffic bits/element for the GEMM bandwidth model; unknown names
-    price as bf16 (see :func:`repro.gpu.spec.format_storage_bits`)."""
-    return format_storage_bits(fmt, default=16.0)
+def _resolve(
+    spec: GPUSpec,
+    a_fmt: str,
+    b_fmt: str,
+    mxplus_software: bool,
+    mxplus_hardware: bool,
+    min_tile_m: int,
+) -> tuple:
+    """Everything but the shape that :func:`_roofline` needs for an
+    ``a_fmt x b_fmt`` GEMM: the MMA rate, both operand widths, the DRAM
+    bandwidth, the MX+ flags and the M tile, in its argument order."""
+    # mixed-precision MMA runs at the slower operand's rate
+    rate = min(spec.tc_macs_per_s(a_fmt), spec.tc_macs_per_s(b_fmt))
+    return (
+        rate,
+        format_storage_bits(a_fmt),
+        format_storage_bits(b_fmt),
+        spec.mem_bytes_per_s(),
+        mxplus_software,
+        mxplus_hardware,
+        min_tile_m,
+    )
+
+
+def _roofline(
+    m: int,
+    n: int,
+    k: int,
+    rate: float,
+    a_bits: float,
+    b_bits: float,
+    mem_bytes_per_s: float,
+    mxplus_software: bool,
+    mxplus_hardware: bool,
+    min_tile_m: int,
+) -> float:
+    """Seconds for one ``m x n x k`` GEMM whose formats :func:`_resolve`
+    already turned into numbers — the one roofline formula."""
+    compute_s = float(max(m, min_tile_m)) * n * k / rate
+    if mxplus_software:
+        compute_s *= SOFTWARE_MXPLUS_COMPUTE_FACTOR
+    if mxplus_hardware:
+        compute_s *= HARDWARE_MXPLUS_FACTOR
+
+    bytes_a = m * k * a_bits / 8.0
+    bytes_b = k * n * b_bits / 8.0
+    bytes_d = m * n * 2.0  # BF16 output
+    memory_s = (bytes_a + bytes_b + bytes_d) / mem_bytes_per_s
+
+    overhead = KERNEL_OVERHEAD_S
+    if mxplus_software:
+        overhead *= SOFTWARE_MXPLUS_KERNEL_FACTOR
+    return max(compute_s, memory_s) + overhead
 
 
 def gemm_time(
@@ -58,29 +107,15 @@ def gemm_time(
 ) -> float:
     """Seconds for one GEMM under the roofline model.
 
-    ``min_tile_m``: thread-block tile granularity on M — kernels that only
-    ship one tile shape (CUTLASS A8W4's M=128, Section 7.4) burn compute
-    on padding when the real M is smaller.
+    ``a_fmt``/``b_fmt`` are ``"bf16"``/``"fp16"``/``"fp32"`` or registered
+    format names (unknown names raise ``KeyError``). ``min_tile_m``:
+    thread-block tile granularity on M — kernels that only ship one tile
+    shape (CUTLASS A8W4's M=128, Section 7.4) burn compute on padding
+    when the real M is smaller.
     """
-    # mixed-precision MMA runs at the slower operand's rate
-    rate = min(
-        spec.tc_macs_per_s(a_fmt),
-        spec.tc_macs_per_s(b_fmt),
+    return _roofline(
+        shape.m,
+        shape.n,
+        shape.k,
+        *_resolve(spec, a_fmt, b_fmt, mxplus_software, mxplus_hardware, min_tile_m),
     )
-    effective_m = max(shape.m, min_tile_m)
-    compute_s = float(effective_m) * shape.n * shape.k / rate
-    if mxplus_software:
-        compute_s *= SOFTWARE_MXPLUS_COMPUTE_FACTOR
-    if mxplus_hardware:
-        compute_s *= HARDWARE_MXPLUS_FACTOR
-
-    bytes_a = shape.m * shape.k * _storage_bits(a_fmt) / 8.0
-    bytes_b = shape.k * shape.n * _storage_bits(b_fmt) / 8.0
-    bytes_d = shape.m * shape.n * 2.0  # BF16 output
-    memory_s = (bytes_a + bytes_b + bytes_d) / spec.mem_bytes_per_s()
-
-    overhead = KERNEL_OVERHEAD_S
-    if mxplus_software:
-        overhead *= SOFTWARE_MXPLUS_KERNEL_FACTOR
-    return max(compute_s, memory_s) + overhead
-

@@ -1,17 +1,24 @@
 """GPU hardware specifications for the performance substrate.
 
 Calibrated to the datapoints the paper reports for the NVIDIA RTX 5090:
-one FP4 ``mma.m16n8k64`` retires every 16 cycles per Tensor Core, FP8
-sustains half the FP4 throughput and FP6 matches FP8, and sparse MMA runs
-at twice the dense rate (Section 5.2/6.2).
+one FP4 ``mma.m16n8k64`` retires every 16 cycles per Tensor Core, and
+FP8 sustains half the FP4 throughput with FP6 matching FP8 (Section
+5.2/6.2).
+
+A format's GPU cost is read off the registered format itself: its
+Tensor-Core rate follows its element codec (:meth:`GPUSpec.tc_macs_per_s`)
+and its DRAM traffic its storage width (:func:`format_storage_bits`).
+Nothing is memoized here, so ``register_format(..., overwrite=True)`` is
+seen by the next caller; :class:`repro.gpu.inference.StepPricer` resolves
+both once per layer variant at construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
-from ..core.registry import get_format, registry_version
+from ..core.elem import FloatCodec
+from ..core.registry import get_format
 
 __all__ = ["GPUSpec", "RTX5090", "RTXA6000", "FORMAT_BITS", "format_storage_bits"]
 
@@ -23,42 +30,38 @@ FORMAT_BITS: dict[str, float] = {
     "fp32": 32.0,
 }
 
+#: Tensor-Core rate of a BF16 MMA relative to FP4
+BF16_RATE = 0.25
 
-def format_storage_bits(fmt: str, default: float | None = None) -> float:
+
+def format_storage_bits(fmt: str) -> float:
     """Average storage bits per element for format name ``fmt``.
 
     The baseline float types come from :data:`FORMAT_BITS`; every
     registered format (MX, MX+, MX++, MXINT, NVFP4, re-registered block
     variants, ...) reports its encoder's ``bits_per_element()``: element
     width plus its share of the shared-scale (and BM-index) sidebands.
-    That width is memoized against the registry version, so
-    ``register_format(..., overwrite=True)`` is seen. Unknown names raise
-    ``KeyError`` unless ``default`` is given. The one lookup both the GEMM
-    traffic model (:mod:`repro.gpu.kernels`) and the KV-cache footprint
-    accounting (:func:`repro.serve.kvcache.kv_token_bytes`) share.
+    Unknown names raise ``KeyError``. The one width both the GEMM traffic
+    model (:mod:`repro.gpu.kernels`) and the KV-cache footprint
+    accounting (:func:`repro.serve.kvcache.kv_token_bytes`) read.
 
     >>> format_storage_bits("mxfp4"), format_storage_bits("mxfp4+")
     (4.25, 4.5)
     """
     key = fmt.lower()
     bits = FORMAT_BITS.get(key)
-    if bits is not None:
-        return bits
-    try:
-        return _registry_storage_bits(key, registry_version())
-    except KeyError:
-        if default is None:
-            raise
-        return default
-
-
-@lru_cache(maxsize=None)
-def _registry_storage_bits(key: str, version: int) -> float:
-    return float(get_format(key).bits_per_element())
+    return bits if bits is not None else float(get_format(key).bits_per_element())
 
 
 @dataclass(frozen=True)
 class GPUSpec:
+    """Throughput and bandwidth of one GPU for the roofline model.
+
+    A format's MMA rate is not configured per name: with ``native_mx``,
+    :meth:`tc_macs_per_s` derives it from the format's element codec,
+    and without it every format runs at the BF16 rate.
+    """
+
     name: str
     num_sms: int
     tensor_cores_per_sm: int
@@ -66,30 +69,27 @@ class GPUSpec:
     mem_bw_gbps: float  # effective DRAM bandwidth, GB/s
     #: MACs per cycle per Tensor Core at FP4 (m16n8k64 / 16 cycles)
     fp4_macs_per_cycle_per_tc: float = 16 * 8 * 64 / 16.0
-    #: relative MMA throughput by compute format (FP4 = 1)
-    format_throughput: dict = field(
-        default_factory=lambda: {
-            "mxfp4": 1.0,
-            "mxfp4+": 1.0,
-            "mxfp4++": 1.0,
-            "mxfp4-k64": 1.0,
-            "mxfp4+-k64": 1.0,
-            "mxfp6": 0.5,
-            "mxfp6+": 0.5,
-            "mxfp8": 0.5,
-            "mxfp8+": 0.5,
-            "bf16": 0.25,
-            "fp16": 0.25,
-        }
-    )
-    #: whether Tensor Cores consume MX formats natively (Blackwell: yes)
+    #: whether Tensor Cores consume MX formats natively (Blackwell: yes);
+    #: without it the operands are converted and the MMA runs in BF16
     native_mx: bool = True
-    #: relative speed of a sparse MMA vs dense at the same K (2x on NVIDIA)
-    sparse_speedup: float = 2.0
 
     def tc_macs_per_s(self, fmt: str) -> float:
-        """Peak Tensor-Core MACs/second for a compute format."""
-        rel = self.format_throughput.get(fmt, 0.25)
+        """Peak Tensor-Core MACs/second for a compute format.
+
+        On a ``native_mx`` GPU a format whose elements are 4-bit floats
+        (a :class:`~repro.core.elem.FloatCodec` of width 4: MXFP4 and its
+        MX+/MX++ variants, NVFP4) runs at the FP4 rate, and 6- or 8-bit
+        floats (MXFP6, MXFP8, either element type) at half of it — the
+        width rule of :class:`repro.gpu.hardware.DPECycleModel`. Every
+        other format (bf16/fp16, INT, MXINT, MSFP, SMX, top-k) runs at
+        the BF16 rate, a quarter of FP4, as does every format when
+        ``native_mx`` is off.
+        """
+        rel = BF16_RATE
+        if self.native_mx and fmt.lower() not in FORMAT_BITS:
+            elem = getattr(get_format(fmt), "elem", None)
+            if isinstance(elem, FloatCodec) and elem.bits <= 8:
+                rel = 1.0 if elem.bits <= 4 else 0.5
         return (
             self.num_sms
             * self.tensor_cores_per_sm
@@ -121,5 +121,4 @@ RTXA6000 = GPUSpec(
     clock_ghz=1.41,
     mem_bw_gbps=768.0,
     native_mx=False,
-    format_throughput={"bf16": 0.25, "fp16": 0.25},
 )

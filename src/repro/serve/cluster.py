@@ -686,16 +686,6 @@ class ServingCluster:
             )
         else:
             cache = PagedKVCache.from_token_budget(self._kv_token_budget)
-        from copy import deepcopy
-
-        from .sched import get_scheduler
-
-        scheduler = self._scheduler_spec
-        if not isinstance(scheduler, str):
-            # Engine steps interleave in the global event loop, so replicas
-            # must not share one (potentially stateful) scheduler instance —
-            # each replica gets a deep copy, configuration included.
-            scheduler = deepcopy(get_scheduler(scheduler))
         return ServingEngine(
             self.arch,
             self.recipe,
@@ -703,7 +693,7 @@ class ServingCluster:
             max_batch=self._max_batch,
             model=self._model,
             kv_cache=cache,
-            scheduler=scheduler,
+            scheduler=self._scheduler_spec,
             role=role,
             pricer=self.pricer,
         )

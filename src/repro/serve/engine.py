@@ -393,9 +393,6 @@ class StepEvent:
     kind: str  # "prefill" | "decode" | "mixed"
     n_prefill_rows: int = 0
     n_decode_rows: int = 0
-    admitted: list[str] = field(default_factory=list)
-    finished: list[str] = field(default_factory=list)
-    preempted: int = 0
     # prefill-role engines only: requests whose first token completed this
     # step and now await export_kv() (KV migration to a decode replica).
     handoff_ready: list[str] = field(default_factory=list)
@@ -552,7 +549,6 @@ class ServingEngine:
         self._submit_seq = 0
         self._admit_seq = 0
         self._evict_tick = 0
-        self.scheduler.reset()
 
     def abort(self) -> None:
         """Free the KV pages of every in-flight request (crash cleanup).
@@ -780,13 +776,8 @@ class ServingEngine:
             self.clock = nxt
         t_start = self.clock
         plan = self.scheduler.plan(self)
-        admitted_ids = [
-            s.request.request_id for s, _ in plan.prefill if s.prefilled == 0
-        ]
-
-        preempted = 0
         if plan.decode:
-            preempted = self._preempt_overflow(plan)
+            self._preempt_overflow(plan)
         if plan.empty:
             # A zero-duration step cannot make progress; returning would
             # spin run()/the cluster loop forever. Unreachable with the
@@ -832,7 +823,6 @@ class ServingEngine:
 
         for state, rows in plan.prefill:
             state.prefilled += rows
-        finished_ids: list[str] = []
         append_token = self.kv_cache.append_token
         clock = self.clock
         numeric = self.model is not None
@@ -850,7 +840,6 @@ class ServingEngine:
             self._running.remove(state)
             self.kv_cache.free(state.request.request_id)
             self.finished[state.request.request_id] = self._response(state, clock)
-            finished_ids.append(state.request.request_id)
         handoff_ids: list[str] = []
         if self.role == "prefill":
             # First token done, more tokens budgeted: the request's KV is
@@ -882,9 +871,6 @@ class ServingEngine:
             kind=kind,
             n_prefill_rows=n_prefill_rows,
             n_decode_rows=n_decode_rows,
-            admitted=admitted_ids,
-            finished=finished_ids,
-            preempted=preempted,
             handoff_ready=handoff_ids,
         )
 
@@ -1009,7 +995,7 @@ class ServingEngine:
                     )
         return admitted
 
-    def _preempt_overflow(self, plan: StepPlan) -> int:
+    def _preempt_overflow(self, plan: StepPlan) -> None:
         """Evict newest-admitted requests if the next decode would overflow.
 
         Evicted victims leave ``running`` (and the step plan), lose their
@@ -1024,7 +1010,7 @@ class ServingEngine:
         # with no side effects — skip it (this is the common case; the
         # slow path only runs when the cache is genuinely near-full).
         if self.kv_cache.free_blocks >= len(plan.decode):
-            return 0
+            return
         evicted = 0
         while len(self._running) > 1 and plan.decode:
             needed = self.kv_cache.append_blocks_needed(
@@ -1055,7 +1041,6 @@ class ServingEngine:
                     victim.request.request_id,
                 )
         self._preemptions += evicted
-        return evicted
 
     # ------------------------------------------------------------------
     def _next_token(self, state: _Active) -> int:

@@ -80,8 +80,9 @@ def kv_token_bytes(arch: ArchSpec, recipe_or_fmt) -> float:
     per_layer_bytes = 2.0 * arch.n_kv_heads * arch.head_dim / 8.0
     if recipe.layer_overrides and recipe.kv == AUTO:
         spread = recipe.spread_overrides(arch.n_layers)
+        bits = {f: format_storage_bits(f) for f in {fmt, *spread.values()}}
         return per_layer_bytes * sum(
-            format_storage_bits(spread.get(i, fmt)) for i in range(arch.n_layers)
+            bits[spread.get(i, fmt)] for i in range(arch.n_layers)
         )
     return per_layer_bytes * arch.n_layers * format_storage_bits(fmt)
 

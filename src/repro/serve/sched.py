@@ -83,16 +83,12 @@ class StepPlan:
 class Scheduler:
     """Base class: compose the next engine step.
 
-    Subclasses implement :meth:`plan`. ``reset`` is called by the engine
-    at the start of every ``run`` so a scheduler instance behaves like a
-    freshly built one (the built-in policies are stateless, but custom
-    schedulers may carry state across steps of one run).
+    Subclasses implement :meth:`plan`. A scheduler is stateless: it
+    composes each step from the engine it is given, so one instance may
+    serve any number of engines and runs.
     """
 
     name = "base"
-
-    def reset(self) -> None:
-        """Return to the initial state; called before every engine run."""
 
     def plan(self, engine) -> StepPlan:  # pragma: no cover - interface
         """Compose the next step for ``engine`` (called once per step)."""

@@ -1,9 +1,12 @@
 """Tests for the GPU performance substrate (repro.gpu)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core import MXFP4, MXFP4Plus, MXFP4PlusPlus
+from repro.core.registry import available_formats
 from repro.gpu.area import MXPLUS_COMPONENTS, scale_to_node, tensor_core_overhead
 from repro.gpu.convert import converted_matmul_time, table4_row
 from repro.gpu.hardware import DPECycleModel, dpe_block_dot, lane_view, tensor_core_matmul
@@ -26,6 +29,26 @@ class TestSpec:
 
     def test_fp6_matches_fp8(self):
         assert RTX5090.tc_macs_per_s("mxfp6") == RTX5090.tc_macs_per_s("mxfp8")
+
+    def test_rate_follows_element_width(self):
+        # 4-bit float elements run at the FP4 rate, 6- and 8-bit floats
+        # (either element type) at half of it, everything else at BF16's.
+        fp4 = {"mxfp4", "mxfp4+", "mxfp4++", "mxfp4-k64", "mxfp4+-k64", "nvfp4", "nvfp4+"}
+        half = {
+            "mxfp6", "mxfp6+", "mxfp6++", "mxfp6-e3m2",
+            "mxfp8", "mxfp8+", "mxfp8++", "mxfp8-e5m2",
+        }
+        peak = RTX5090.tc_macs_per_s("mxfp4")
+        for name in [*available_formats(), "bf16", "fp16"]:
+            want = 1.0 if name in fp4 else 0.5 if name in half else 0.25
+            assert RTX5090.tc_macs_per_s(name) == peak * want, name
+
+    def test_no_native_mx_runs_everything_at_bf16(self):
+        # native_mx alone decides it: Blackwell without it prices as Ampere
+        for spec in (RTXA6000, dataclasses.replace(RTX5090, native_mx=False)):
+            bf16 = spec.tc_macs_per_s("bf16")
+            for name in available_formats():
+                assert spec.tc_macs_per_s(name) == bf16, (spec.name, name)
 
 
 class TestGemmTime:
@@ -79,6 +102,14 @@ class TestInferenceSim:
         s = {n: end_to_end_speedup(arch, n, 4, 1024, 64) for n in names}
         assert s["mxfp4"] > s["mxfp8"] > s["bf16"] == 1.0
         assert s["mxfp4+"] > s["mxfp8"]
+
+    def test_same_element_width_same_time(self):
+        # MX++ and the other MXFP8 element type cost what their siblings do
+        arch = ARCHS["llama-2-13b"]
+        for fmt, sibling in (("mxfp6++", "mxfp6+"), ("mxfp8-e5m2", "mxfp8")):
+            ours = simulate_inference(arch, fmt, 4, 1024, 64)
+            theirs = simulate_inference(arch, sibling, 4, 1024, 64)
+            assert ours == theirs, fmt
 
     def test_bigger_model_slower(self):
         t7 = simulate_inference(ARCHS["llama-2-7b"], "mxfp4", 4, 512, 16)

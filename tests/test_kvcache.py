@@ -3,8 +3,11 @@ prefixes, eviction, and the flat-budget shim equivalence."""
 
 import pytest
 
-from repro.core.registry import available_formats, get_format
-from repro.gpu.spec import FORMAT_BITS, format_storage_bits
+from repro.core.elem import E2M3
+from repro.core.mx import MXFP4, MXFormat
+from repro.core.registry import available_formats, get_format, register_format
+from repro.gpu.inference import StepPricer
+from repro.gpu.spec import FORMAT_BITS, RTX5090, format_storage_bits
 from repro.models.zoo import ARCHS
 from repro.serve import (
     KVTransfer,
@@ -32,6 +35,19 @@ class TestByteAccounting:
         assert set(FORMAT_BITS) == {"bf16", "fp16", "fp32"}
         for name in available_formats():
             assert format_storage_bits(name) == get_format(name).bits_per_element()
+        # A re-registered name is seen at once by a new pricer and by the
+        # KV accounting: nothing caches a format's width or rate.
+        bits4 = kv_token_bytes(ARCH, "mxfp4")
+        register_format("mxfp4", lambda: MXFormat(E2M3, name="mxfp4"), overwrite=True)
+        try:
+            assert kv_token_bytes(ARCH, "mxfp4") == kv_token_bytes(ARCH, "mxfp6")
+            groups = [(4096, 1024), (4, 2048)]
+            assert StepPricer(RTX5090, ARCH, "mxfp4").price(groups) == StepPricer(
+                RTX5090, ARCH, "mxfp6"
+            ).price(groups)
+        finally:
+            register_format("mxfp4", MXFP4, overwrite=True)
+        assert kv_token_bytes(ARCH, "mxfp4") == bits4
 
     def test_kv_token_bytes_formula(self):
         # 2 (K,V) * n_layers * kv_dim * bits/8
