@@ -210,11 +210,11 @@ class StepPricer:
             (arch.dim, arch.hidden),  # down
         )
         stack = [
-            sum(_roofline(m, n, k, *proj) for n, k in dims)
+            sum(_roofline(m, n, k, proj) for n, k in dims)
             for proj, _attention in self._variants
         ]
         # LM head, once per forward
-        stack.append(_roofline(m, arch.vocab, arch.dim, *self._head))
+        stack.append(_roofline(m, arch.vocab, arch.dim, self._head))
         stack = tuple(stack)
         self.rows_misses += 1
         if len(self._rows) >= ROWS_MEMO_CAP:
@@ -229,8 +229,8 @@ class StepPricer:
         attention = self._variants[v][1]
         dim = self.arch.dim
         pair = (
-            _roofline(rows, ctx, dim, *attention),
-            _roofline(rows, dim, ctx, *attention),
+            _roofline(rows, ctx, dim, attention),
+            _roofline(rows, dim, ctx, attention),
         )
         self.attention_misses += 1
         memo = self._attention[v]

@@ -11,6 +11,7 @@ prefill slowdown but only ~7% in the memory-bound decode stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .spec import GPUSpec, format_storage_bits
 
@@ -41,6 +42,19 @@ class GemmShape:
         return float(self.m) * self.n * self.k
 
 
+class _Operands(NamedTuple):
+    """Everything but the shape that :func:`_roofline` prices one GEMM
+    with, resolved by :func:`_resolve`."""
+
+    rate: float  # MMA MACs/s: mixed precision runs at the slower operand's
+    a_bits: float  # storage bits per A element
+    b_bits: float  # storage bits per B element
+    mem_bytes_per_s: float
+    mxplus_software: bool
+    mxplus_hardware: bool
+    min_tile_m: int
+
+
 def _resolve(
     spec: GPUSpec,
     a_fmt: str,
@@ -48,50 +62,36 @@ def _resolve(
     mxplus_software: bool,
     mxplus_hardware: bool,
     min_tile_m: int,
-) -> tuple:
-    """Everything but the shape that :func:`_roofline` needs for an
-    ``a_fmt x b_fmt`` GEMM: the MMA rate, both operand widths, the DRAM
-    bandwidth, the MX+ flags and the M tile, in its argument order."""
-    # mixed-precision MMA runs at the slower operand's rate
-    rate = min(spec.tc_macs_per_s(a_fmt), spec.tc_macs_per_s(b_fmt))
-    return (
-        rate,
-        format_storage_bits(a_fmt),
-        format_storage_bits(b_fmt),
-        spec.mem_bytes_per_s(),
-        mxplus_software,
-        mxplus_hardware,
-        min_tile_m,
+) -> _Operands:
+    """Read an ``a_fmt x b_fmt`` GEMM's rate and operand widths off the
+    registered formats, once, for any number of shapes."""
+    return _Operands(
+        rate=min(spec.tc_macs_per_s(a_fmt), spec.tc_macs_per_s(b_fmt)),
+        a_bits=format_storage_bits(a_fmt),
+        b_bits=format_storage_bits(b_fmt),
+        mem_bytes_per_s=spec.mem_bytes_per_s(),
+        mxplus_software=mxplus_software,
+        mxplus_hardware=mxplus_hardware,
+        min_tile_m=min_tile_m,
     )
 
 
-def _roofline(
-    m: int,
-    n: int,
-    k: int,
-    rate: float,
-    a_bits: float,
-    b_bits: float,
-    mem_bytes_per_s: float,
-    mxplus_software: bool,
-    mxplus_hardware: bool,
-    min_tile_m: int,
-) -> float:
-    """Seconds for one ``m x n x k`` GEMM whose formats :func:`_resolve`
-    already turned into numbers — the one roofline formula."""
-    compute_s = float(max(m, min_tile_m)) * n * k / rate
-    if mxplus_software:
+def _roofline(m: int, n: int, k: int, op: _Operands) -> float:
+    """Seconds for one ``m x n x k`` GEMM on resolved operands ``op`` —
+    the one roofline formula."""
+    compute_s = float(max(m, op.min_tile_m)) * n * k / op.rate
+    if op.mxplus_software:
         compute_s *= SOFTWARE_MXPLUS_COMPUTE_FACTOR
-    if mxplus_hardware:
+    if op.mxplus_hardware:
         compute_s *= HARDWARE_MXPLUS_FACTOR
 
-    bytes_a = m * k * a_bits / 8.0
-    bytes_b = k * n * b_bits / 8.0
+    bytes_a = m * k * op.a_bits / 8.0
+    bytes_b = k * n * op.b_bits / 8.0
     bytes_d = m * n * 2.0  # BF16 output
-    memory_s = (bytes_a + bytes_b + bytes_d) / mem_bytes_per_s
+    memory_s = (bytes_a + bytes_b + bytes_d) / op.mem_bytes_per_s
 
     overhead = KERNEL_OVERHEAD_S
-    if mxplus_software:
+    if op.mxplus_software:
         overhead *= SOFTWARE_MXPLUS_KERNEL_FACTOR
     return max(compute_s, memory_s) + overhead
 
@@ -113,9 +113,5 @@ def gemm_time(
     shape (CUTLASS A8W4's M=128, Section 7.4) burn compute on padding
     when the real M is smaller.
     """
-    return _roofline(
-        shape.m,
-        shape.n,
-        shape.k,
-        *_resolve(spec, a_fmt, b_fmt, mxplus_software, mxplus_hardware, min_tile_m),
-    )
+    operands = _resolve(spec, a_fmt, b_fmt, mxplus_software, mxplus_hardware, min_tile_m)
+    return _roofline(shape.m, shape.n, shape.k, operands)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from ..core.elem import FloatCodec
 from ..core.registry import get_format
+from .hardware import DPECycleModel
 
 __all__ = ["GPUSpec", "RTX5090", "RTXA6000", "FORMAT_BITS", "format_storage_bits"]
 
@@ -32,6 +33,8 @@ FORMAT_BITS: dict[str, float] = {
 
 #: Tensor-Core rate of a BF16 MMA relative to FP4
 BF16_RATE = 0.25
+#: the DPE whose per-width MMA cycles set the MX formats' relative rates
+_DPE = DPECycleModel()
 
 
 def format_storage_bits(fmt: str) -> float:
@@ -79,9 +82,10 @@ class GPUSpec:
         On a ``native_mx`` GPU a format whose elements are 4-bit floats
         (a :class:`~repro.core.elem.FloatCodec` of width 4: MXFP4 and its
         MX+/MX++ variants, NVFP4) runs at the FP4 rate, and 6- or 8-bit
-        floats (MXFP6, MXFP8, either element type) at half of it — the
-        width rule of :class:`repro.gpu.hardware.DPECycleModel`. Every
-        other format (bf16/fp16, INT, MXINT, MSFP, SMX, top-k) runs at
+        floats (MXFP6, MXFP8, either element type) at half of it: the
+        rate is the FP4 MMA's cycles over the element width's, as
+        :meth:`repro.gpu.hardware.DPECycleModel.mma_cycles` counts them.
+        Every other format (bf16/fp16, INT, MXINT, MSFP, SMX, top-k) runs at
         the BF16 rate, a quarter of FP4, as does every format when
         ``native_mx`` is off.
         """
@@ -89,7 +93,7 @@ class GPUSpec:
         if self.native_mx and fmt.lower() not in FORMAT_BITS:
             elem = getattr(get_format(fmt), "elem", None)
             if isinstance(elem, FloatCodec) and elem.bits <= 8:
-                rel = 1.0 if elem.bits <= 4 else 0.5
+                rel = _DPE.mma_cycles(4) / _DPE.mma_cycles(elem.bits)
         return (
             self.num_sms
             * self.tensor_cores_per_sm
